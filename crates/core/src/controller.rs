@@ -12,7 +12,7 @@
 //! `controller_api` child module.
 
 use fp_dram::DramSystem;
-use fp_path_oram::{Completion, LlcRequest, Op, OramConfig, OramState, OramStats};
+use fp_path_oram::{Completion, CompletionLog, LlcRequest, Op, OramConfig, OramState, OramStats};
 use fp_trace::{EventKind, TraceHandle};
 
 use crate::address_queue::{AddressQueue, SubmitEffect};
@@ -76,9 +76,7 @@ pub struct ForkPathController {
     fixed_rate: bool,
     plb: PosMapLookasideBuffer,
     stats: OramStats,
-    completions: Vec<Completion>,
-    /// Completions before this index have been fed to the reactive source.
-    feedback_cursor: usize,
+    completions: CompletionLog,
     label_trace: Option<Vec<u64>>,
     /// The shared trace spine every stage reports into. Counters are
     /// always exact; the event ring only fills once a capacity is set
@@ -149,8 +147,7 @@ impl ForkPathController {
             fixed_rate: false,
             plb: PosMapLookasideBuffer::new(fork.plb_blocks),
             stats: OramStats::default(),
-            completions: Vec::new(),
-            feedback_cursor: 0,
+            completions: CompletionLog::default(),
             label_trace: None,
             trace,
             path_nodes: Vec::new(),
@@ -312,7 +309,7 @@ impl ForkPathController {
                 // never surface them; and their feedback may submit new
                 // work, so loop rather than flush-and-return.
                 None => {
-                    if self.feedback_cursor == self.completions.len() {
+                    if !self.completions.has_unfed() {
                         return Ok(false);
                     }
                 }

@@ -33,19 +33,18 @@ impl ForkPathController {
     pub fn has_pending_work(&self) -> bool {
         self.has_real_work()
             || self.current.as_ref().is_some_and(|c| !c.is_dummy())
-            || self.feedback_cursor < self.completions.len()
+            || self.completions.has_unfed()
     }
 
     /// Routes every not-yet-fed completion through `source`, submitting any
     /// follow-up requests it produces, until quiescent.
+    // fp-lint: hot-path
     pub(super) fn flush_feedback<S: ReactiveSource + ?Sized>(
         &mut self,
         source: &mut S,
     ) -> Result<(), ControllerError> {
-        while self.feedback_cursor < self.completions.len() {
-            let completion = self.completions[self.feedback_cursor].clone();
-            self.feedback_cursor += 1;
-            for r in source.on_complete(&completion) {
+        while let Some(follow_ups) = self.completions.feed_next(source) {
+            for r in follow_ups {
                 self.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag)?;
             }
         }
@@ -147,9 +146,13 @@ impl ForkPathController {
     /// anything newer is delivered on a later drain (after the next
     /// [`ForkPathController::process_one`] flushes it).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let flushed: Vec<Completion> = self.completions.drain(..self.feedback_cursor).collect();
-        self.feedback_cursor = 0;
-        flushed
+        self.completions.drain()
+    }
+
+    /// [`ForkPathController::drain_completions`] onto the end of a
+    /// caller-owned buffer (see [`fp_path_oram::CompletionLog::drain_into`]).
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        self.completions.drain_into(out);
     }
 
     /// Enables or disables fixed-rate (timing-protection) mode; see
@@ -224,5 +227,6 @@ impl ForkPathController {
         self.stats.dram_blocks_read = w.dram_blocks_read;
         self.stats.dram_blocks_written = w.dram_blocks_written;
         self.stats.buckets_written = w.buckets_written;
+        self.stats.created_blocks = self.state.created_blocks();
     }
 }

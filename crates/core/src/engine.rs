@@ -40,8 +40,8 @@ use std::collections::BinaryHeap;
 
 use fp_dram::{AccessKind, DramSystem};
 use fp_path_oram::{
-    BaselineController, Completion, NewRequest, NoFeedback, Op, OramConfig, OramStats,
-    ReactiveSource,
+    BaselineController, Completion, CompletionLog, NewRequest, NoFeedback, Op, OramConfig,
+    OramStats, ReactiveSource,
 };
 use fp_trace::{Counter, EventKind, TraceHandle};
 
@@ -98,6 +98,10 @@ pub trait OramEngine {
     /// Completions produced and fed back since the last drain.
     fn drain_completions(&mut self) -> Vec<Completion>;
 
+    /// [`OramEngine::drain_completions`] onto the end of a caller-owned
+    /// buffer, for drivers that drain often and reuse one buffer.
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>);
+
     /// Whether submitted work is still queued or in flight.
     fn has_pending_work(&self) -> bool;
 
@@ -146,6 +150,9 @@ impl<E: OramEngine + ?Sized> OramEngine for Box<E> {
     fn drain_completions(&mut self) -> Vec<Completion> {
         (**self).drain_completions()
     }
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        (**self).drain_completions_into(out)
+    }
     fn has_pending_work(&self) -> bool {
         (**self).has_pending_work()
     }
@@ -188,6 +195,9 @@ impl OramEngine for ForkPathController {
     fn drain_completions(&mut self) -> Vec<Completion> {
         ForkPathController::drain_completions(self)
     }
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        ForkPathController::drain_completions_into(self, out)
+    }
     fn has_pending_work(&self) -> bool {
         ForkPathController::has_pending_work(self)
     }
@@ -220,6 +230,9 @@ impl OramEngine for BaselineController {
     }
     fn drain_completions(&mut self) -> Vec<Completion> {
         BaselineController::drain_completions(self)
+    }
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        BaselineController::drain_completions_into(self, out)
     }
     fn has_pending_work(&self) -> bool {
         BaselineController::has_pending_work(self)
@@ -291,8 +304,7 @@ pub struct InsecureEngine {
     pending: BinaryHeap<Reverse<PendingAccess>>,
     /// In-flight accesses, earliest finish first.
     outstanding: BinaryHeap<Reverse<OutstandingAccess>>,
-    completions: Vec<Completion>,
-    feedback_cursor: usize,
+    completions: CompletionLog,
     clock_ps: u64,
     next_id: u64,
     stats: OramStats,
@@ -311,8 +323,7 @@ impl InsecureEngine {
             block_bytes: block_bytes as u64,
             pending: BinaryHeap::new(),
             outstanding: BinaryHeap::new(),
-            completions: Vec::new(),
-            feedback_cursor: 0,
+            completions: CompletionLog::default(),
             clock_ps: 0,
             next_id: 0,
             stats: OramStats::default(),
@@ -320,11 +331,10 @@ impl InsecureEngine {
         }
     }
 
+    // fp-lint: hot-path
     fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) -> Result<(), ControllerError> {
-        while self.feedback_cursor < self.completions.len() {
-            let completion = self.completions[self.feedback_cursor].clone();
-            self.feedback_cursor += 1;
-            for r in source.on_complete(&completion) {
+        while let Some(follow_ups) = self.completions.feed_next(source) {
+            for r in follow_ups {
                 OramEngine::submit(self, r)?;
             }
         }
@@ -417,9 +427,11 @@ impl OramEngine for InsecureEngine {
     }
 
     fn drain_completions(&mut self) -> Vec<Completion> {
-        let flushed: Vec<Completion> = self.completions.drain(..self.feedback_cursor).collect();
-        self.feedback_cursor = 0;
-        flushed
+        self.completions.drain()
+    }
+
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        self.completions.drain_into(out);
     }
 
     fn has_pending_work(&self) -> bool {

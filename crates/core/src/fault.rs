@@ -197,6 +197,19 @@ impl<E: OramEngine> FaultInjector<E> {
         self.penalty_ps
     }
 
+    /// Pushes each completion's `done_ps` out by the spike latency with
+    /// probability [`FaultConfig::latency_spike_rate`].
+    fn roll_latency_spikes(&mut self, done: &mut [Completion]) {
+        if self.cfg.latency_spike_rate > 0.0 {
+            for c in done {
+                if self.rng.gen_bool(self.cfg.latency_spike_rate) {
+                    c.done_ps += self.cfg.latency_spike_ps;
+                    self.trace.bump(Counter::LatencySpikes);
+                }
+            }
+        }
+    }
+
     /// Rolls the per-access fault machinery. `Ok(())` means clean or
     /// recovered-by-retry; `Err` is a hard fault the caller propagates.
     fn roll_access_faults(&mut self) -> Result<(), ControllerError> {
@@ -258,15 +271,14 @@ impl<E: OramEngine> OramEngine for FaultInjector<E> {
 
     fn drain_completions(&mut self) -> Vec<Completion> {
         let mut done = self.inner.drain_completions();
-        if self.cfg.latency_spike_rate > 0.0 {
-            for c in &mut done {
-                if self.rng.gen_bool(self.cfg.latency_spike_rate) {
-                    c.done_ps += self.cfg.latency_spike_ps;
-                    self.trace.bump(Counter::LatencySpikes);
-                }
-            }
-        }
+        self.roll_latency_spikes(&mut done);
         done
+    }
+
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        let start = out.len();
+        self.inner.drain_completions_into(out);
+        self.roll_latency_spikes(&mut out[start..]);
     }
 
     fn has_pending_work(&self) -> bool {

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use fp_path_oram::{Completion, LlcRequest, OramConfig, OramState, OramStats};
+use fp_path_oram::{Completion, CompletionLog, LlcRequest, OramConfig, OramState, OramStats};
 use fp_trace::{EventKind, TraceHandle};
 
 use crate::address_queue::AddressQueue;
@@ -46,7 +46,7 @@ pub(crate) struct StepCtx<'a> {
     pub aq: &'a mut AddressQueue,
     pub sched: &'a mut RequestScheduler,
     pub stats: &'a mut OramStats,
-    pub completions: &'a mut Vec<Completion>,
+    pub completions: &'a mut CompletionLog,
     pub trace: &'a TraceHandle,
 }
 

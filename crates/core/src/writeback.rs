@@ -40,6 +40,9 @@ pub struct WritebackEngine {
     bursts_per_bucket: u64,
     burst_bytes: u64,
     trace: TraceHandle,
+    /// Reusable DRAM burst batch: path reads and bucket writes run on
+    /// every access, so the batch is not reallocated per call.
+    bursts: Vec<(u64, AccessKind)>,
 }
 
 impl WritebackEngine {
@@ -79,6 +82,7 @@ impl WritebackEngine {
             bursts_per_bucket: bucket_bytes.div_ceil(burst_bytes).max(1),
             burst_bytes,
             trace: TraceHandle::default(),
+            bursts: Vec::new(),
         }
     }
 
@@ -91,8 +95,9 @@ impl WritebackEngine {
     /// DRAM reads for a path range, minus cache hits, FR-FCFS batched.
     /// Returns the batch finish time (or `now_ps` when every bucket hit
     /// the cache); the controller adds its pipeline latency on top.
+    // fp-lint: hot-path
     pub fn read_path(&mut self, dram: &mut DramSystem, nodes: &[u64], now_ps: u64) -> u64 {
-        let mut batch = Vec::with_capacity(nodes.len() * self.bursts_per_bucket as usize);
+        self.bursts.clear();
         for &node in nodes {
             if self.cache.lookup_for_read(node) {
                 self.trace.bump(Counter::CacheHits);
@@ -101,14 +106,16 @@ impl WritebackEngine {
             self.trace.bump(Counter::CacheMisses);
             let base = self.layout.bucket_address(node);
             for i in 0..self.bursts_per_bucket {
-                batch.push((base + i * self.burst_bytes, AccessKind::Read));
+                self.bursts
+                    .push((base + i * self.burst_bytes, AccessKind::Read));
             }
         }
-        if batch.is_empty() {
+        if self.bursts.is_empty() {
             return now_ps;
         }
-        self.trace.add(Counter::DramBlocksRead, batch.len() as u64);
-        dram.access_batch(now_ps, &batch).batch_finish_ps
+        self.trace
+            .add(Counter::DramBlocksRead, self.bursts.len() as u64);
+        dram.access_batch(now_ps, &self.bursts).batch_finish_ps
     }
 
     /// Commits one refill bucket through the cache; returns its commit
@@ -128,14 +135,16 @@ impl WritebackEngine {
         self.cache.resident()
     }
 
+    // fp-lint: hot-path
     fn write_bucket_dram(&mut self, dram: &mut DramSystem, node: u64, t_ps: u64) -> u64 {
         let base = self.layout.bucket_address(node);
-        let batch: Vec<_> = (0..self.bursts_per_bucket)
-            .map(|i| (base + i * self.burst_bytes, AccessKind::Write))
-            .collect();
+        self.bursts.clear();
+        self.bursts.extend(
+            (0..self.bursts_per_bucket).map(|i| (base + i * self.burst_bytes, AccessKind::Write)),
+        );
         self.trace
-            .add(Counter::DramBlocksWritten, batch.len() as u64);
-        dram.access_batch(t_ps, &batch).batch_finish_ps
+            .add(Counter::DramBlocksWritten, self.bursts.len() as u64);
+        dram.access_batch(t_ps, &self.bursts).batch_finish_ps
     }
 }
 

@@ -8,7 +8,7 @@
 //! | `wall-clock-in-sim` | Simulated results are a pure function of the seed: no `Instant`/`SystemTime` outside the wall-clock harness crates (`fp-bench`, `fp-net`) |
 //! | `poisonable-lock` | Supervised-thread crates (`fp-service`, `fp-net`) never panic on a poisoned mutex: `.lock().unwrap()`/`.expect(..)` must route through `fp_service::sync::relock` |
 //! | `stdout-in-library` | Library crates report through JSON/return values, never `println!`/`eprintln!`/`dbg!` |
-//! | `hot-path-alloc` | Functions marked `// fp-lint: hot-path` stay allocation-free (`.clone()`, `.to_vec()`, `format!`, `Vec::new`, `vec!`) |
+//! | `hot-path-alloc` | Functions marked `// fp-lint: hot-path` stay allocation-free (`.clone()`, `.to_vec()`, `.collect()`, `format!`, `Vec::new`, `Vec::with_capacity`, `vec!`) |
 //! | `bad-pragma` | Suppressions parse, name a real rule, and carry a reason |
 //! | `unused-allow` | Suppressions that stop suppressing anything are removed |
 
@@ -181,7 +181,15 @@ fn is_library_source(path: &str) -> bool {
 }
 
 /// Allocation patterns audited inside `// fp-lint: hot-path` functions.
-const ALLOC_PATTERNS: [&str; 5] = [".clone()", ".to_vec()", "format!", "Vec::new", "vec!"];
+const ALLOC_PATTERNS: [&str; 7] = [
+    ".clone()",
+    ".to_vec()",
+    ".collect()",
+    "format!",
+    "Vec::new",
+    "Vec::with_capacity",
+    "vec!",
+];
 
 /// `hot-path-alloc`: the per-access loops that PR 3 made allocation-free
 /// (PLB touch, MAC probe, FR-FCFS pick, shard pump) are annotated; any

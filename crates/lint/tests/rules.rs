@@ -185,20 +185,42 @@ fn hot(&mut self) {
     let z = Vec::new();
     let w = vec![0u8; 4];
     let u = self.v.to_vec();
+    let c = Vec::with_capacity(4);
+    let d: Vec<u8> = self.v.iter().copied().collect();
 }
 
 fn cold(&mut self) {
     let x = self.v.clone();
+    let c = Vec::with_capacity(4);
+    let d: Vec<u8> = self.v.iter().copied().collect();
 }
 ";
     let f = lint("crates/core/src/x.rs", src);
     let hits = fired(&f, "hot-path-alloc");
     assert_eq!(
         hits.len(),
-        5,
+        7,
         "one per allocation pattern, in the hot fn only"
     );
-    assert!(hits.iter().all(|h| (3..=7).contains(&h.line)));
+    assert!(hits.iter().all(|h| (3..=9).contains(&h.line)));
+}
+
+#[test]
+fn hot_path_buffer_reuse_is_clean() {
+    // Reusing a scratch buffer — clear, push, extend — allocates nothing
+    // in steady state; neither do look-alike names.
+    let src = "\
+// fp-lint: hot-path
+fn hot(&mut self) {
+    self.scratch.clear();
+    self.scratch.push(1);
+    self.scratch.extend(self.v.iter().copied());
+    let n = self.recollect();
+    let m = MyVec::with_capacity_hint(n);
+}
+";
+    let f = lint("crates/core/src/x.rs", src);
+    assert!(fired(&f, "hot-path-alloc").is_empty());
 }
 
 #[test]

@@ -12,6 +12,7 @@ use fp_dram::{AccessKind, DramSystem};
 use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::cache::{BucketCache, NoCache, TreetopCache, WriteOutcome};
+use crate::completion::CompletionLog;
 use crate::config::OramConfig;
 use crate::integrity::IntegrityError;
 use crate::reactive::{NoFeedback, ReactiveSource};
@@ -91,9 +92,7 @@ pub struct BaselineController {
     clock_ps: u64,
     next_id: u64,
     stats: OramStats,
-    completions: Vec<Completion>,
-    /// Completions before this index have been fed to the reactive source.
-    feedback_cursor: usize,
+    completions: CompletionLog,
     /// The shared trace spine (counters, histograms, event ring) the
     /// controller, stash, and DRAM system report into.
     trace: TraceHandle,
@@ -144,8 +143,7 @@ impl BaselineController {
             clock_ps: 0,
             next_id: 0,
             stats: OramStats::default(),
-            completions: Vec::new(),
-            feedback_cursor: 0,
+            completions: CompletionLog::default(),
             trace,
             label_trace: None,
             bursts_per_bucket,
@@ -220,11 +218,10 @@ impl BaselineController {
 
     /// Routes every not-yet-fed completion through `source`, submitting any
     /// follow-up requests it produces, until quiescent.
+    // fp-lint: hot-path
     fn flush_feedback<S: ReactiveSource + ?Sized>(&mut self, source: &mut S) {
-        while self.feedback_cursor < self.completions.len() {
-            let completion = self.completions[self.feedback_cursor].clone();
-            self.feedback_cursor += 1;
-            for r in source.on_complete(&completion) {
+        while let Some(follow_ups) = self.completions.feed_next(source) {
+            for r in follow_ups {
                 self.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag);
             }
         }
@@ -235,9 +232,13 @@ impl BaselineController {
     /// anything newer is delivered on a later drain (after the next
     /// [`BaselineController::process_one`] flushes it).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let flushed: Vec<Completion> = self.completions.drain(..self.feedback_cursor).collect();
-        self.feedback_cursor = 0;
-        flushed
+        self.completions.drain()
+    }
+
+    /// [`BaselineController::drain_completions`] onto the end of a
+    /// caller-owned buffer (see [`CompletionLog::drain_into`]).
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        self.completions.drain_into(out);
     }
 
     /// Whether any submitted request is still waiting to be processed.
@@ -383,6 +384,7 @@ impl BaselineController {
         self.drain_stash_pressure()?;
 
         self.stats.completed_requests += 1;
+        self.stats.created_blocks = self.state.created_blocks();
         self.stats.sum_latency_ps += done_ps.saturating_sub(req.arrival_ps);
         self.stats.finish_time_ps = self.clock_ps;
         self.trace

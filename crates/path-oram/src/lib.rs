@@ -29,6 +29,9 @@
 //! * [`reactive`] — the closed-loop feedback vocabulary
 //!   ([`NewRequest`], [`ReactiveSource`], [`NoFeedback`]) shared by every
 //!   incremental engine from the baseline to Fork Path.
+//! * [`CompletionLog`] — the completion buffer and feedback cursor every
+//!   incremental engine shares; drains hand completions over without
+//!   copying them.
 //! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
 //!   [`cache::TreetopCache`] policy (Phantom [13]).
 //! * [`integrity`] — Merkle-tree verification over the ORAM tree, the
@@ -52,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod completion;
 mod config;
 mod controller;
 pub mod integrity;
@@ -63,6 +67,7 @@ mod state;
 mod stats;
 mod tree;
 
+pub use completion::CompletionLog;
 pub use config::{CipherMode, OramConfig};
 pub use controller::{BaselineController, Completion, LlcRequest, Op};
 pub use integrity::IntegrityError;

@@ -197,25 +197,10 @@ impl Stash {
         let mut out = Vec::with_capacity((level_hi - level_lo + 1) as usize);
         let mut cursor = 0usize;
         for level in (level_lo..=level_hi).rev() {
-            let mut chosen = Vec::with_capacity(z);
-            // Blocks are sorted by eligible depth descending; every block
-            // with eligible depth >= level can go here.
-            while chosen.len() < z && cursor < candidates.len() {
-                let (depth, addr) = candidates[cursor];
-                if depth >= level {
-                    cursor += 1;
-                    // The block may have been consumed by a deeper level in
-                    // a previous iteration of an overlapping plan — it can't
-                    // here because each addr appears once, but guard anyway.
-                    if let Some(block) = self.blocks.remove(&addr) {
-                        debug_assert!(placement_legal(levels, leaf, block.leaf, level));
-                        self.trace.record_now(EventKind::StashEvict { addr });
-                        chosen.push(block);
-                    }
-                } else {
-                    break;
-                }
-            }
+            // Blocks are sorted by eligible depth descending; the next
+            // (at most `z`) blocks with eligible depth >= level go here.
+            let chosen = self.take_eligible(levels, leaf, level, z, &candidates[cursor..]);
+            cursor += chosen.len();
             out.push((level, chosen));
         }
         self.plan_scratch = candidates;
@@ -243,18 +228,38 @@ impl Stash {
                 .map(|b| (divergence_level(levels, leaf, b.leaf), b.addr)),
         );
         candidates.sort_unstable_by(|a, b| b.cmp(a));
-        let mut chosen = Vec::with_capacity(z);
-        for &(depth, addr) in candidates.iter() {
-            if chosen.len() >= z || depth < level {
-                break;
-            }
-            if let Some(block) = self.blocks.remove(&addr) {
-                debug_assert!(placement_legal(levels, leaf, block.leaf, level));
-                self.trace.record_now(EventKind::StashEvict { addr });
-                chosen.push(block);
-            }
-        }
+        let chosen = self.take_eligible(levels, leaf, level, z, &candidates);
         self.plan_scratch = candidates;
+        chosen
+    }
+
+    /// Removes the leading run of `candidates` (sorted by eligible depth,
+    /// deepest first) that may live at `level`, at most `z` blocks, and
+    /// returns them. The run is counted before anything is allocated, so
+    /// the bucket holds exactly its real blocks: an empty bucket allocates
+    /// nothing and a stored bucket carries no `Z`-capacity slack.
+    fn take_eligible(
+        &mut self,
+        levels: u32,
+        leaf: u64,
+        level: u32,
+        z: usize,
+        candidates: &[(u32, u64)],
+    ) -> Vec<Block> {
+        let n = candidates
+            .iter()
+            .take(z)
+            .take_while(|&&(depth, _)| depth >= level)
+            .count();
+        let mut chosen = Vec::with_capacity(n);
+        for &(_, addr) in &candidates[..n] {
+            // Every candidate was collected from the stash this plan and
+            // appears once, so the removal always succeeds.
+            let block = self.blocks.remove(&addr).expect("candidate is resident");
+            debug_assert!(placement_legal(levels, leaf, block.leaf, level));
+            self.trace.record_now(EventKind::StashEvict { addr });
+            chosen.push(block);
+        }
         chosen
     }
 

@@ -57,8 +57,9 @@ pub struct OramState {
     onchip: OnChipMap,
     label_rng: Xoshiro256,
     created_blocks: u64,
-    /// Every block ever materialized (used to reason about lazily
-    /// nonexistent super-block members).
+    /// Every block ever materialized, kept only under super-block grouping
+    /// (`super_block > 1`), where [`OramState::group_shortcut_safe`] reads
+    /// it to tell lazily nonexistent group members from tree residents.
     existing: std::collections::HashSet<u64>,
 }
 
@@ -366,7 +367,9 @@ impl OramState {
             self.stash.insert(Block::new(addr, new_leaf, payload));
             AccessOutcome::Created
         };
-        self.existing.insert(addr);
+        if self.cfg.super_block > 1 {
+            self.existing.insert(addr);
+        }
         #[cfg(feature = "trace-labels")]
         // fp-lint: allow(stdout-in-library) reason=opt-in trace-labels debug output, compiled out by default
         eprintln!("fetch_block addr={addr} -> leaf {new_leaf} ({outcome:?})");
@@ -561,7 +564,12 @@ mod tests {
         s.load_path_range(old, 0, levels).unwrap();
         let _ = s.apply_op(3, new, Some(&[1]));
         let written = s.evict_range(old, 0, levels);
-        let victim = *written.first().expect("refill wrote buckets");
+        // Only occupied buckets keep a plaintext image, and corrupting a
+        // node without one is a no-op: pick a written bucket with an image.
+        let victim = *written
+            .iter()
+            .find(|&&node| s.tree().raw_bucket(node).is_some())
+            .expect("refill stored the accessed block");
         assert!(s.tree_mut().corrupt_bucket(victim));
         let err = s.load_path_range(old, 0, levels).unwrap_err();
         assert_eq!(err.node, victim);

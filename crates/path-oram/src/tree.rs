@@ -5,6 +5,14 @@
 //! written. The store therefore materializes buckets on first write, letting
 //! 1–32 GB ORAM configurations (Fig 17b) run in host memory proportional to
 //! the *touched* working set.
+//!
+//! In [`CipherMode::Transparent`] the store goes further and keeps an image
+//! only for *occupied* buckets: an all-dummy bucket reads exactly like an
+//! untouched one, so writing one drops the node's image, and a stored
+//! bucket holds just its real blocks. Plaintext memory is then proportional
+//! to the real blocks in the tree, not to the buckets ever written.
+//! [`CipherMode::Real`] seals every written bucket, empty or not, to the
+//! same full size — the bus must not reveal which buckets hold dummies.
 
 use std::collections::HashMap;
 
@@ -53,7 +61,9 @@ impl TreeStore {
         }
     }
 
-    /// Number of buckets that have ever been written.
+    /// Number of stored bucket images: every written bucket in
+    /// [`CipherMode::Real`], only the occupied ones in
+    /// [`CipherMode::Transparent`].
     pub fn touched_buckets(&self) -> usize {
         self.buckets.len()
     }
@@ -135,7 +145,8 @@ impl TreeStore {
     }
 
     /// Writes bucket `node` with up to `Z` real blocks (the remainder of the
-    /// bucket is dummies).
+    /// bucket is dummies). In [`CipherMode::Transparent`] an all-dummy
+    /// bucket removes the node's image instead of storing an empty one.
     ///
     /// # Panics
     ///
@@ -153,6 +164,10 @@ impl TreeStore {
         }
         self.write_counter += 1;
         let stored = match self.mode {
+            CipherMode::Transparent if blocks.is_empty() => {
+                self.buckets.remove(&node);
+                return;
+            }
             CipherMode::Transparent => StoredBucket::Plain(blocks),
             CipherMode::Real => {
                 let nonce = Nonce::new(self.write_counter, node as u32);
@@ -173,7 +188,7 @@ impl TreeStore {
         }
     }
 
-    /// Iterates over `(node, real blocks)` for every touched bucket.
+    /// Iterates over `(node, real blocks)` for every stored bucket image.
     pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, Vec<Block>)> + '_ {
         self.buckets.keys().map(|&n| (n, self.read_bucket(n)))
     }
@@ -327,6 +342,43 @@ mod tests {
         store.write_bucket(10, vec![Block::new(3, 5, vec![7; 16])]);
         store.corrupt_bucket(10);
         store.read_bucket(10);
+    }
+
+    #[test]
+    fn empty_transparent_write_leaves_no_image() {
+        let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
+        store.write_bucket(7, Vec::new());
+        assert!(store.raw_bucket(7).is_none());
+        assert_eq!(store.touched_buckets(), 0);
+        assert!(store.read_bucket(7).is_empty(), "reads like untouched");
+        assert!(!store.corrupt_bucket(7), "no image: nothing to corrupt");
+    }
+
+    #[test]
+    fn emptying_a_bucket_removes_its_image() {
+        let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
+        store.write_bucket(7, vec![Block::new(1, 1, vec![1; 16])]);
+        assert!(store.raw_bucket(7).is_some());
+        store.write_bucket(7, Vec::new());
+        assert!(store.raw_bucket(7).is_none());
+        assert!(store.read_bucket(7).is_empty());
+        assert_eq!(store.iter_buckets().count(), 0);
+    }
+
+    #[test]
+    fn touched_buckets_counts_stored_images() {
+        // Transparent: only occupied buckets. Real: every written bucket,
+        // empty ones included, sealed to full size.
+        for (mode, expect) in [(CipherMode::Transparent, 2), (CipherMode::Real, 4)] {
+            let mut store = TreeStore::new(&cfg(mode), [3; 32]);
+            store.write_bucket(1, vec![Block::new(1, 0, vec![1; 16])]);
+            store.write_bucket(2, Vec::new());
+            store.write_bucket(3, vec![Block::new(3, 0, vec![3; 16])]);
+            store.write_bucket(4, Vec::new());
+            assert_eq!(store.touched_buckets(), expect, "{mode:?}");
+            let imaged = (1..=4).filter(|&n| store.raw_bucket(n).is_some()).count();
+            assert_eq!(imaged, expect, "{mode:?}");
+        }
     }
 
     #[test]

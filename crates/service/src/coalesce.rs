@@ -111,11 +111,13 @@ impl CoalesceIndex {
     /// Resolves the completed access to `addr`: answers every parked
     /// waiter in arrival order and decides whether a flush write-back is
     /// needed. `data_as_read` is the completion's payload (what the tree
-    /// held). Returns `None` when `addr` has no entry (coalescing
-    /// disabled for it, or an engine-internal completion).
-    pub fn resolve(&mut self, addr: u64, data_as_read: Vec<u8>) -> Option<Resolution> {
+    /// held); it is borrowed, so the caller can still move it into the
+    /// anchor's own completion, and copied only when an entry exists.
+    /// Returns `None` when `addr` has no entry (coalescing disabled for
+    /// it, or an engine-internal completion).
+    pub fn resolve(&mut self, addr: u64, data_as_read: &[u8]) -> Option<Resolution> {
         let entry = self.entries.remove(&addr)?;
-        let mut current = entry.anchor_write.unwrap_or(data_as_read);
+        let mut current = entry.anchor_write.unwrap_or_else(|| data_as_read.to_vec());
         let mut dirty = false;
         let mut answers = Vec::with_capacity(entry.waiters.len());
         for w in entry.waiters {
@@ -186,7 +188,7 @@ mod tests {
         ix.insert_anchor(7, None);
         ix.try_attach(7, waiter(1, false, Vec::new())).unwrap();
         ix.try_attach(7, waiter(2, false, Vec::new())).unwrap();
-        let r = ix.resolve(7, vec![0xAA; 4]).unwrap();
+        let r = ix.resolve(7, &[0xAA; 4]).unwrap();
         assert_eq!(r.answers.len(), 2);
         assert!(r.answers.iter().all(|a| a.data == vec![0xAA; 4]));
         assert_eq!(r.flush, None, "pure reads need no write-back");
@@ -198,7 +200,7 @@ mod tests {
         let mut ix = CoalesceIndex::new();
         ix.insert_anchor(7, Some(vec![0xBB; 4]));
         ix.try_attach(7, waiter(1, false, Vec::new())).unwrap();
-        let r = ix.resolve(7, vec![0xAA; 4]).unwrap();
+        let r = ix.resolve(7, &[0xAA; 4]).unwrap();
         assert_eq!(
             r.answers[0].data,
             vec![0xBB; 4],
@@ -215,7 +217,7 @@ mod tests {
         ix.try_attach(7, waiter(2, false, Vec::new())).unwrap();
         ix.try_attach(7, waiter(3, true, vec![3; 4])).unwrap();
         ix.try_attach(7, waiter(4, false, Vec::new())).unwrap();
-        let r = ix.resolve(7, vec![0; 4]).unwrap();
+        let r = ix.resolve(7, &[0; 4]).unwrap();
         // Writes acknowledge empty; reads observe the youngest earlier
         // write; the flush carries the final value.
         assert!(r.answers[0].data.is_empty());
@@ -225,7 +227,7 @@ mod tests {
         assert_eq!(r.flush, Some(vec![3; 4]));
         // The entry re-armed: new arrivals coalesce onto the flush.
         ix.try_attach(7, waiter(5, false, Vec::new())).unwrap();
-        let r2 = ix.resolve(7, vec![9; 4]).unwrap();
+        let r2 = ix.resolve(7, &[9; 4]).unwrap();
         assert_eq!(
             r2.answers[0].data,
             vec![3; 4],
@@ -237,6 +239,6 @@ mod tests {
     #[test]
     fn resolve_without_entry_is_none() {
         let mut ix = CoalesceIndex::new();
-        assert!(ix.resolve(9, Vec::new()).is_none());
+        assert!(ix.resolve(9, &[]).is_none());
     }
 }

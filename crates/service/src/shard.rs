@@ -228,6 +228,9 @@ pub struct ShardEngine<E: OramEngine = Box<dyn OramEngine + Send>> {
     /// [`crate::coalesce`]; this worker wires its results to completions,
     /// trace counters, and flush submissions.
     coalesce: Option<CoalesceIndex>,
+    /// Reusable buffer the engine drains its completions into, so a drain
+    /// after every access allocates nothing for the hand-over.
+    drained: Vec<Completion>,
 }
 
 impl ShardEngine {
@@ -264,6 +267,7 @@ impl ShardEngine {
                 block_bytes,
                 meta: HashMap::new(),
                 coalesce: cfg.coalesce.then(CoalesceIndex::new),
+                drained: Vec::new(),
             },
             shared,
         )
@@ -457,14 +461,22 @@ impl<E: OramEngine> ShardEngine<E> {
     /// completions and counters are published before flushes are
     /// submitted, so nothing drained is lost on that path.
     fn publish_completions(&mut self) -> Result<(), ControllerError> {
-        let done = self.ctl.drain_completions();
+        let mut done = std::mem::take(&mut self.drained);
+        self.ctl.drain_completions_into(&mut done);
         if done.is_empty() {
+            self.drained = done;
             return Ok(());
         }
         let mut out = Vec::with_capacity(done.len());
         let mut late = 0u64;
         let mut flushes: Vec<NewRequest> = Vec::new();
-        for c in done {
+        for mut c in done.drain(..) {
+            // Resolve waiters first: the index borrows the data as read,
+            // so the anchor's own completion can take it without a copy.
+            let resolved = self
+                .coalesce
+                .as_mut()
+                .and_then(|ix| ix.resolve(c.addr, &c.data));
             match self.meta.remove(&c.id) {
                 // Internal write-back: no client completion.
                 Some(ReqMeta::Flush) => {}
@@ -485,7 +497,11 @@ impl<E: OramEngine> ShardEngine<E> {
                         addr: c.addr,
                         status,
                         latency_ps: c.done_ps.saturating_sub(c.arrival_ps),
-                        data: if write { Vec::new() } else { c.data.clone() },
+                        data: if write {
+                            Vec::new()
+                        } else {
+                            std::mem::take(&mut c.data)
+                        },
                     });
                 }
                 // Unknown id (engine-internal bookkeeping): pass through.
@@ -496,15 +512,11 @@ impl<E: OramEngine> ShardEngine<E> {
                         addr: c.addr,
                         status: CompletionStatus::Ok,
                         latency_ps: c.done_ps.saturating_sub(c.arrival_ps),
-                        data: c.data.clone(),
+                        data: std::mem::take(&mut c.data),
                     });
                 }
             }
-            let Some(res) = self
-                .coalesce
-                .as_mut()
-                .and_then(|ix| ix.resolve(c.addr, c.data))
-            else {
+            let Some(res) = resolved else {
                 continue;
             };
             for WaiterAnswer { waiter: w, data } in res.answers {
@@ -545,6 +557,7 @@ impl<E: OramEngine> ShardEngine<E> {
             ctr.completed += out.len() as u64;
             ctr.completed_late += late;
         }
+        self.drained = done;
         relock(&self.shared.completions).extend(out);
         for f in flushes {
             let id = self.ctl.submit(f)?;
@@ -693,7 +706,8 @@ impl<E: OramEngine> ShardEngine<E> {
     /// Folds drained completions and newly issued pool requests into the
     /// shared counters (closed-loop bookkeeping).
     fn fold_closed_loop(&mut self, src: &mut PoolSource) {
-        let done = self.ctl.drain_completions();
+        let mut done = std::mem::take(&mut self.drained);
+        self.ctl.drain_completions_into(&mut done);
         let issued = std::mem::take(&mut src.issued);
         let mut late = 0u64;
         if let Some(d) = self.default_deadline_ps {
@@ -703,10 +717,13 @@ impl<E: OramEngine> ShardEngine<E> {
                 }
             }
         }
+        let completed = done.len() as u64;
+        done.clear();
+        self.drained = done;
         let mut ctr = relock(&self.shared.counters);
         ctr.enqueued += issued;
         ctr.admitted += issued;
-        ctr.completed += done.len() as u64;
+        ctr.completed += completed;
         ctr.completed_late += late;
     }
 }

@@ -18,7 +18,10 @@ cargo run --release --offline -q -p fp-lint -- --format json --out results/LINT.
 grep -q '"tool":"fp-lint"' results/LINT.json
 grep -q '"findings":0' results/LINT.json
 
-cargo test -q --offline
+# Every workspace member's unit, integration and doc tests — not just the
+# root package's — so crate-internal suites (tree/stash/state, the fp-lint
+# fixtures) gate too.
+cargo test -q --offline --workspace
 
 # Documentation gate: every public item is documented (workspace crates set
 # #![warn(missing_docs)]) and no rustdoc warnings (broken intra-doc links,

@@ -1,10 +1,16 @@
 //! Full-system integration: the paper's qualitative claims must hold on
 //! end-to-end closed-loop simulations.
 
-use fork_path_oram::core::ForkConfig;
+use fork_path_oram::core::engine::by_name;
+use fork_path_oram::core::{
+    FaultConfig, FaultInjector, ForkConfig, ForkPathController, NewRequest, OramEngine,
+    ReactiveSource,
+};
+use fork_path_oram::dram::DramSystem;
+use fork_path_oram::path_oram::{BaselineController, Completion, Op, OramState};
 use fork_path_oram::sim::experiment::MissBudget;
 use fork_path_oram::sim::{run_workload, Scheme, SystemConfig};
-use fork_path_oram::workloads::cpu::{MultiCoreWorkload, PipelineKind};
+use fork_path_oram::workloads::cpu::{untag_addr, untag_core, MultiCoreWorkload, PipelineKind};
 use fork_path_oram::workloads::mixes;
 
 /// A dense 4-core workload shrunk to the fast-test ORAM capacity.
@@ -149,4 +155,111 @@ fn miss_budget_scales_run_length() {
     assert_eq!(short.llc_requests * 4, long.llc_requests);
     assert!(long.exec_time_ps > short.exec_time_ps);
     let _ = MissBudget::Fast; // re-export sanity
+}
+
+/// Every currently issueable miss of `wl`, as engine requests.
+fn issue_ready(wl: &mut MultiCoreWorkload, block_bytes: usize) -> Vec<NewRequest> {
+    let mut out = Vec::new();
+    while let Some(t) = wl.next_issue_time() {
+        let (tagged, op) = wl.issue_at(t).expect("issueable");
+        out.push(NewRequest {
+            addr: untag_addr(tagged),
+            op,
+            data: match op {
+                Op::Write => vec![0xA5; block_bytes],
+                Op::Read => Vec::new(),
+            },
+            arrival_ps: t,
+            tag: untag_core(tagged) as u64,
+        });
+    }
+    out
+}
+
+/// Closed-loop feedback: a completion frees its core to issue again.
+struct Cores<'a> {
+    wl: &'a mut MultiCoreWorkload,
+    block_bytes: usize,
+}
+
+impl ReactiveSource for Cores<'_> {
+    fn on_complete(&mut self, c: &Completion) -> Vec<NewRequest> {
+        self.wl.complete_core(c.tag as usize, c.done_ps);
+        issue_ready(self.wl, self.block_bytes)
+    }
+}
+
+/// Drives `engine` through a fixed-seed fast-test Mix1 run, the same
+/// closed loop `run_workload` runs, and returns its completion count.
+fn drive_mix1(engine: &mut impl OramEngine, block_bytes: usize) -> usize {
+    let mut wl = sparse_wl(300, 17);
+    for r in issue_ready(&mut wl, block_bytes) {
+        engine.submit(r).unwrap();
+    }
+    let mut cores = Cores {
+        wl: &mut wl,
+        block_bytes,
+    };
+    while engine.process_one(&mut cores).unwrap() {}
+    assert!(wl.finished());
+    engine.drain_completions().len()
+}
+
+/// The sparse plaintext store after a real run: every stored bucket holds
+/// at least one block, the Path ORAM invariants hold, and every block
+/// ever created sits in exactly one place (a stored bucket or the stash).
+fn assert_sparse_store(state: &OramState) {
+    state.check_invariants().unwrap();
+    let mut in_tree = 0;
+    for (node, blocks) in state.tree().iter_buckets() {
+        assert!(!blocks.is_empty(), "bucket {node} stored with no block");
+        in_tree += blocks.len();
+    }
+    assert_eq!(
+        state.tree().touched_buckets(),
+        state.tree().iter_buckets().count()
+    );
+    assert!(in_tree > 0);
+    assert_eq!(
+        (in_tree + state.stash().len()) as u64,
+        state.created_blocks()
+    );
+}
+
+#[test]
+fn stored_plaintext_buckets_are_never_empty_after_mix1() {
+    let cfg = SystemConfig::fast_test();
+    let bb = cfg.oram.block_bytes;
+    let dram = || DramSystem::new(cfg.dram.clone());
+
+    let Some(Scheme::Fork(fork_mac)) = by_name("fork+mac") else {
+        panic!("fork+mac is a fork configuration");
+    };
+    let mut fork = ForkPathController::new(cfg.oram.clone(), fork_mac, dram(), cfg.seed);
+    assert!(drive_mix1(&mut fork, bb) > 0);
+    assert_sparse_store(fork.state());
+    assert_eq!(fork.stats().created_blocks, fork.state().created_blocks());
+
+    let mut trad = BaselineController::new(cfg.oram.clone(), dram(), cfg.seed);
+    assert!(drive_mix1(&mut trad, bb) > 0);
+    assert_sparse_store(trad.state());
+    assert_eq!(trad.stats().created_blocks, trad.state().created_blocks());
+}
+
+#[test]
+fn created_blocks_is_reported_and_fault_wrapper_agrees() {
+    let cfg = SystemConfig::fast_test();
+    let bb = cfg.oram.block_bytes;
+    for name in ["fork+mac", "traditional"] {
+        let scheme = by_name(name).unwrap();
+        let build = || {
+            let dram = DramSystem::new(cfg.dram.clone());
+            scheme.build(cfg.oram.clone(), dram, cfg.seed)
+        };
+        let mut bare = build();
+        let mut wrapped = FaultInjector::new(build(), FaultConfig::default());
+        assert_eq!(drive_mix1(&mut bare, bb), drive_mix1(&mut wrapped, bb));
+        assert!(bare.stats().created_blocks > 0, "{name}");
+        assert_eq!(bare.stats(), wrapped.stats(), "{name}");
+    }
 }
