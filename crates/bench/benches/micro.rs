@@ -91,12 +91,16 @@ fn bench_stash_eviction() {
     let blocks: Vec<Block> = (0..200)
         .map(|i| Block::new(i, rng.next_below(1 << 24), vec![0u8; 64]))
         .collect();
-    bench("stash/plan_full_eviction_200_blocks", || {
+    bench("stash/plan_path_eviction_200_blocks", || {
         let mut s = Stash::new(256);
         for blk in &blocks {
             s.insert(blk.clone());
         }
-        s.plan_full_eviction(24, 12345, 4)
+        // A full refill plans every level from the leaf up to the root.
+        (0..=24u32)
+            .rev()
+            .map(|level| s.plan_eviction_level(24, 12345, level, 4))
+            .collect::<Vec<_>>()
     });
 }
 

@@ -63,8 +63,10 @@ fn merging_shortens_paths_vs_baseline() {
 #[test]
 fn bigger_queue_shortens_paths_further() {
     let run = |m: usize| {
-        let mut cfg = ForkConfig::default();
-        cfg.label_queue_size = m;
+        let cfg = ForkConfig {
+            label_queue_size: m,
+            ..ForkConfig::default()
+        };
         let mut ctl = fork(cfg);
         for a in 0..200u64 {
             ctl.submit(a % 96, Op::Read, vec![], 0);
@@ -148,8 +150,10 @@ fn replacement_rescues_dummies_in_closed_loop() {
 #[test]
 fn replacing_flag_controls_replacement() {
     let run = |replacing: bool| {
-        let mut cfg = ForkConfig::default();
-        cfg.replacing = replacing;
+        let cfg = ForkConfig {
+            replacing,
+            ..ForkConfig::default()
+        };
         let mut ctl = fork(cfg);
         // Moderate gaps: some arrivals land inside refill windows.
         for a in 0..48u64 {
@@ -173,8 +177,10 @@ fn replacing_flag_controls_replacement() {
 
 #[test]
 fn merging_off_reads_full_paths() {
-    let mut cfg = ForkConfig::default();
-    cfg.merging = false;
+    let cfg = ForkConfig {
+        merging: false,
+        ..ForkConfig::default()
+    };
     let mut ctl = fork(cfg);
     for a in 0..16u64 {
         ctl.submit(a, Op::Read, vec![], 0);
@@ -186,9 +192,11 @@ fn merging_off_reads_full_paths() {
 #[test]
 fn mac_reduces_dram_traffic() {
     let run = |cache: CacheChoice| {
-        let mut cfg = ForkConfig::default();
-        cfg.cache = cache;
-        cfg.mac_bypass_levels = Some(3);
+        let cfg = ForkConfig {
+            cache,
+            mac_bypass_levels: Some(3),
+            ..ForkConfig::default()
+        };
         let mut ctl = fork(cfg);
         for round in 0..4u64 {
             for a in 0..48u64 {
@@ -247,8 +255,10 @@ fn label_trace_is_roughly_uniform() {
 fn hazard_forwarding_and_cancellation_complete_requests() {
     // Queue of one plus a blocker keeps w1 resident in the address
     // queue, exercising the §4 hazard rules.
-    let mut cfg = ForkConfig::default();
-    cfg.label_queue_size = 1;
+    let cfg = ForkConfig {
+        label_queue_size: 1,
+        ..ForkConfig::default()
+    };
     let mut ctl = fork(cfg);
     let _blocker = ctl.submit(900, Op::Read, vec![], 0);
     let w1 = ctl.submit(5, Op::Write, vec![1; 16], 0);
@@ -424,8 +434,10 @@ fn submit_batch_matches_sequential_submits() {
 #[test]
 fn invalid_config_surfaces_typed_error() {
     use fp_core::ControllerError;
-    let mut cfg = ForkConfig::default();
-    cfg.label_queue_size = 0;
+    let cfg = ForkConfig {
+        label_queue_size: 0,
+        ..ForkConfig::default()
+    };
     let err = ForkPathController::try_new(OramConfig::small_test(), cfg, dram(), 1).unwrap_err();
     assert!(matches!(err, ControllerError::InvalidConfig(_)), "{err}");
 }

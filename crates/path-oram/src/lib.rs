@@ -20,7 +20,7 @@
 //!   ORAMs share the data ORAM's tree and address space; recursion continues
 //!   until the top map fits on chip.
 //! * [`OramState`] — the combined trusted state with the phase primitives
-//!   (`load_path_range`, `finish_access`, `evict_range`) that both the
+//!   (`load_path_range`, `finish_access`, `evict_level`) that both the
 //!   baseline and the Fork Path controllers drive.
 //! * [`BaselineController`] — the traditional Path ORAM controller: every
 //!   access reads and refills a complete path, driven either synchronously

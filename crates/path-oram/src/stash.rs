@@ -51,9 +51,9 @@ pub struct Stash {
     high_water: usize,
     /// Trace spine (clones share it); push/evict events report here.
     trace: TraceHandle,
-    /// Reusable candidate buffer for [`Stash::plan_eviction`] — the planner
-    /// runs on every access, so its scratch must not be reallocated per
-    /// call.
+    /// Reusable candidate buffer for [`Stash::plan_eviction_level`] — the
+    /// planner runs for every refilled bucket, so its scratch must not be
+    /// reallocated per call.
     plan_scratch: Vec<(u32, u64)>,
 }
 
@@ -161,56 +161,16 @@ impl Stash {
         self.pinned.len()
     }
 
-    /// Plans a greedy deepest-first eviction onto the path to `leaf` for
-    /// bucket levels in `level_lo..=level_hi`, removing the chosen blocks
-    /// from the stash.
-    ///
-    /// Returns one entry per level (deepest first): the blocks to store in
-    /// that bucket (at most `z`; the bucket is padded with dummies by the
-    /// tree store).
+    /// Plans the greedy deepest-first eviction of the bucket at `level` of
+    /// the path to `leaf`, removing the chosen blocks (at most `z`; the
+    /// tree store pads the bucket with dummies) from the stash.
     ///
     /// A block mapped to leaf `b` may live at level `d` of the path to
     /// `leaf` iff the two paths still coincide at depth `d`, i.e.
     /// `d <= divergence_level(leaf, b)` — exactly the Path ORAM invariant.
-    pub fn plan_eviction(
-        &mut self,
-        levels: u32,
-        leaf: u64,
-        level_lo: u32,
-        level_hi: u32,
-        z: usize,
-    ) -> Vec<(u32, Vec<Block>)> {
-        debug_assert!(level_lo <= level_hi && level_hi <= levels);
-        // Bucket candidate depth for every stash block, collected into the
-        // reusable scratch buffer.
-        let mut candidates = std::mem::take(&mut self.plan_scratch);
-        candidates.clear();
-        candidates.extend(
-            self.blocks
-                .values()
-                .filter(|b| !self.pinned.contains(&b.addr))
-                .map(|b| (divergence_level(levels, leaf, b.leaf), b.addr)),
-        );
-        // Deepest-eligible blocks first so they land as low as possible.
-        candidates.sort_unstable_by(|a, b| b.cmp(a));
-
-        let mut out = Vec::with_capacity((level_hi - level_lo + 1) as usize);
-        let mut cursor = 0usize;
-        for level in (level_lo..=level_hi).rev() {
-            // Blocks are sorted by eligible depth descending; the next
-            // (at most `z`) blocks with eligible depth >= level go here.
-            let chosen = self.take_eligible(levels, leaf, level, z, &candidates[cursor..]);
-            cursor += chosen.len();
-            out.push((level, chosen));
-        }
-        self.plan_scratch = candidates;
-        out
-    }
-
-    /// Single-level variant of [`Stash::plan_eviction`]: returns the blocks
-    /// for the bucket at `level` only, choosing exactly as
-    /// `plan_eviction(levels, leaf, level, level, z)` would but without the
-    /// per-level plan `Vec`.
+    /// Calling this for each level from the leaf up to the root fills the
+    /// path deepest-first: each level takes the deepest-eligible blocks the
+    /// levels below it left behind.
     pub fn plan_eviction_level(
         &mut self,
         levels: u32,
@@ -219,6 +179,9 @@ impl Stash {
         z: usize,
     ) -> Vec<Block> {
         debug_assert!(level <= levels);
+        // Bucket candidate depth for every stash block, collected into the
+        // reusable scratch buffer, deepest-eligible first so blocks land as
+        // low as possible.
         let mut candidates = std::mem::take(&mut self.plan_scratch);
         candidates.clear();
         candidates.extend(
@@ -228,24 +191,10 @@ impl Stash {
                 .map(|b| (divergence_level(levels, leaf, b.leaf), b.addr)),
         );
         candidates.sort_unstable_by(|a, b| b.cmp(a));
-        let chosen = self.take_eligible(levels, leaf, level, z, &candidates);
-        self.plan_scratch = candidates;
-        chosen
-    }
-
-    /// Removes the leading run of `candidates` (sorted by eligible depth,
-    /// deepest first) that may live at `level`, at most `z` blocks, and
-    /// returns them. The run is counted before anything is allocated, so
-    /// the bucket holds exactly its real blocks: an empty bucket allocates
-    /// nothing and a stored bucket carries no `Z`-capacity slack.
-    fn take_eligible(
-        &mut self,
-        levels: u32,
-        leaf: u64,
-        level: u32,
-        z: usize,
-        candidates: &[(u32, u64)],
-    ) -> Vec<Block> {
+        // The leading run that may live at `level`, at most `z` blocks. It
+        // is counted before anything is allocated, so the bucket holds
+        // exactly its real blocks: an empty bucket allocates nothing and a
+        // stored bucket carries no `Z`-capacity slack.
         let n = candidates
             .iter()
             .take(z)
@@ -260,17 +209,8 @@ impl Stash {
             self.trace.record_now(EventKind::StashEvict { addr });
             chosen.push(block);
         }
+        self.plan_scratch = candidates;
         chosen
-    }
-
-    /// Like [`Stash::plan_eviction`] for the full path (levels `0..=L`).
-    pub fn plan_full_eviction(
-        &mut self,
-        levels: u32,
-        leaf: u64,
-        z: usize,
-    ) -> Vec<(u32, Vec<Block>)> {
-        self.plan_eviction(levels, leaf, 0, levels, z)
     }
 }
 
@@ -286,6 +226,21 @@ mod tests {
 
     fn block(addr: u64, leaf: u64) -> Block {
         Block::new(addr, leaf, vec![addr as u8])
+    }
+
+    /// Plans levels `lo..=hi` of the path to `leaf` (Z = 4) from the leaf
+    /// up, the order a refill commits in.
+    fn plan_levels(
+        s: &mut Stash,
+        levels: u32,
+        leaf: u64,
+        lo: u32,
+        hi: u32,
+    ) -> Vec<(u32, Vec<Block>)> {
+        (lo..=hi)
+            .rev()
+            .map(|level| (level, s.plan_eviction_level(levels, leaf, level, 4)))
+            .collect()
     }
 
     #[test]
@@ -312,7 +267,7 @@ mod tests {
         assert_eq!(tr.counter(Counter::StashPushes), 6);
         s.remove(5);
         s.remove(99); // absent: not an eviction
-        let plan = s.plan_full_eviction(3, 1, 4);
+        let plan = plan_levels(&mut s, 3, 1, 0, 3);
         let planned: u64 = plan.iter().map(|(_, b)| b.len() as u64).sum();
         assert_eq!(tr.counter(Counter::StashEvicts), 1 + planned);
         // Pushes - evictions always equals residency.
@@ -341,7 +296,7 @@ mod tests {
         for (addr, leaf) in [(0u64, 1u64), (1, 1), (2, 3), (3, 7), (4, 0), (5, 5)] {
             s.insert(block(addr, leaf));
         }
-        let plan = s.plan_full_eviction(levels, 1, 4);
+        let plan = plan_levels(&mut s, levels, 1, 0, levels);
         for (level, blocks) in &plan {
             for b in blocks {
                 assert!(
@@ -363,7 +318,7 @@ mod tests {
         let mut s = Stash::new(50);
         // A block mapped exactly to leaf 1 must land at the leaf bucket.
         s.insert(block(42, 1));
-        let plan = s.plan_full_eviction(levels, 1, 4);
+        let plan = plan_levels(&mut s, levels, 1, 0, levels);
         let (leaf_level, leaf_blocks) = &plan[0];
         assert_eq!(*leaf_level, 3);
         assert_eq!(leaf_blocks.len(), 1);
@@ -380,7 +335,7 @@ mod tests {
         // Block that can live at the leaf of path 0.
         s.insert(block(2, 0));
         // Merged refill that skips levels 0..=1: only levels 2..=3 written.
-        let plan = s.plan_eviction(levels, 0, 2, 3, 4);
+        let plan = plan_levels(&mut s, levels, 0, 2, 3);
         let total: usize = plan.iter().map(|(_, b)| b.len()).sum();
         assert_eq!(total, 1, "only the deep block is evictable");
         assert!(s.contains(1), "root-only block stays in stash");
@@ -394,7 +349,7 @@ mod tests {
         for addr in 0..10 {
             s.insert(block(addr, 0));
         }
-        let plan = s.plan_full_eviction(levels, 0, 4);
+        let plan = plan_levels(&mut s, levels, 0, 0, levels);
         for (_, blocks) in &plan {
             assert!(blocks.len() <= 4);
         }

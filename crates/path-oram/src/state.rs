@@ -10,8 +10,9 @@
 //!    part of it, under path merging),
 //! 2. [`OramState::chain_step`] / [`OramState::apply_op`] — block handling
 //!    between the phases (posmap entry extraction/update, data read/write),
-//! 3. [`OramState::evict_range`] — the refill phase (full path, or the part
-//!    not shared with the next request).
+//! 3. [`OramState::evict_level`] — the refill phase, one bucket at a time
+//!    from the leaf up (full path, or the part not shared with the next
+//!    request).
 
 use fp_crypto::Xoshiro256;
 
@@ -45,7 +46,9 @@ pub enum AccessOutcome {
 /// let label = state.random_label();
 /// let nodes = state.load_path_range(label, 0, state.config().levels).unwrap();
 /// assert_eq!(nodes.len() as u32, state.config().path_len());
-/// state.evict_range(label, 0, state.config().levels);
+/// for level in (0..=state.config().levels).rev() {
+///     state.evict_level(label, level);
+/// }
 /// state.check_invariants().unwrap();
 /// ```
 #[derive(Debug)]
@@ -326,28 +329,12 @@ impl OramState {
             .all(|m| !self.existing.contains(&m) || self.stash.contains(m))
     }
 
-    /// Refill phase: greedily evicts stash blocks into the buckets at
-    /// `level_lo..=level_hi` of the path to `leaf`, re-encrypting and
-    /// writing each bucket. Returns node ids in leaf-to-root write order —
+    /// Refill phase for one bucket: greedily evicts stash blocks into the
+    /// bucket at `level` of the path to `leaf`, re-encrypting and writing
+    /// it. Controllers refill bucket by bucket from the leaf up to the
+    /// root (or to the level shared with the next path, under merging) —
     /// the order the refill commits on the bus, which the dummy-replacing
-    /// window is defined over.
-    pub fn evict_range(&mut self, leaf: u64, level_lo: u32, level_hi: u32) -> Vec<u64> {
-        let plan = self
-            .stash
-            .plan_eviction(self.cfg.levels, leaf, level_lo, level_hi, self.cfg.z);
-        let mut nodes = Vec::with_capacity(plan.len());
-        for (level, blocks) in plan {
-            let node = node_at_level(self.cfg.levels, leaf, level);
-            self.tree.write_bucket(node, blocks);
-            nodes.push(node);
-        }
-        nodes
-    }
-
-    /// Refill phase for a single level — the streaming variant of
-    /// [`OramState::evict_range`] for controllers that commit the refill
-    /// bucket by bucket (leaf to root), avoiding a `Vec` per bucket.
-    /// Returns the written bucket's node id.
+    /// window is defined over. Returns the written bucket's node id.
     pub fn evict_level(&mut self, leaf: u64, level: u32) -> u64 {
         let blocks = self
             .stash
@@ -430,6 +417,15 @@ mod tests {
         OramState::new(OramConfig::small_test(), 99)
     }
 
+    /// Refills levels `lo..=L` of the path to `leaf` from the leaf up, the
+    /// way the controllers do; returns node ids in write order.
+    fn refill(s: &mut OramState, leaf: u64, lo: u32) -> Vec<u64> {
+        (lo..=s.config().levels)
+            .rev()
+            .map(|level| s.evict_level(leaf, level))
+            .collect()
+    }
+
     #[test]
     fn full_access_cycle_preserves_invariants() {
         let mut s = state();
@@ -439,7 +435,7 @@ mod tests {
             // Non-recursive shortcut: drive the data access directly.
             s.load_path_range(old, 0, levels).unwrap();
             let _ = s.apply_op(addr, new, Some(&[addr as u8]));
-            s.evict_range(old, 0, levels);
+            refill(&mut s, old, 0);
             s.check_invariants().unwrap();
         }
     }
@@ -458,12 +454,12 @@ mod tests {
                 s.load_path_range(old, 0, levels).unwrap();
                 if i + 1 < chain.len() {
                     let (o, n, _) = s.chain_step(u, new, chain[i + 1]);
-                    s.evict_range(old, 0, levels);
+                    refill(&mut s, old, 0);
                     old = o;
                     new = n;
                 } else {
                     let (read, _) = s.apply_op(u, new, if write { Some(&payload) } else { None });
-                    s.evict_range(old, 0, levels);
+                    refill(&mut s, old, 0);
                     if pass == 1 {
                         assert_eq!(read, payload, "read back what was written");
                     }
@@ -481,7 +477,7 @@ mod tests {
         let (old, new, _) = s.start_chain(5);
         s.load_path_range(old, 0, levels).unwrap();
         let (child_old1, child_new1, outcome1) = s.chain_step(chain[0], new, chain[1]);
-        s.evict_range(old, 0, levels);
+        refill(&mut s, old, 0);
         assert_eq!(outcome1, AccessOutcome::Created);
         let _ = child_old1;
 
@@ -491,7 +487,7 @@ mod tests {
         assert_eq!(outcome2, AccessOutcome::Found);
         s.load_path_range(old2, 0, levels).unwrap();
         let (child_old2, _, outcome3) = s.chain_step(chain[0], new2, chain[1]);
-        s.evict_range(old2, 0, levels);
+        refill(&mut s, old2, 0);
         assert_eq!(outcome3, AccessOutcome::Found);
         assert_eq!(
             child_old2, child_new1,
@@ -515,14 +511,14 @@ mod tests {
         let (old, new, _) = s.start_chain(3);
         s.load_path_range(old, 0, levels).unwrap();
         let _ = s.apply_op(3, new, Some(&[1]));
-        s.evict_range(old, 0, levels);
+        refill(&mut s, old, 0);
         // Re-read the same path: every real block must now be in exactly one
         // place.
         let (old2, _, _) = s.start_chain(3);
         s.load_path_range(old2, 0, levels).unwrap();
         s.check_invariants().unwrap();
         // Clean up for good measure.
-        s.evict_range(old2, 0, levels);
+        refill(&mut s, old2, 0);
         s.check_invariants().unwrap();
     }
 
@@ -534,7 +530,7 @@ mod tests {
         s.load_path_range(old, 0, levels).unwrap();
         let _ = s.apply_op(9, new, Some(&[9]));
         // Merged refill: pretend the next path shares levels 0..=2.
-        s.evict_range(old, 3, levels);
+        refill(&mut s, old, 3);
         s.check_invariants().unwrap();
         // Blocks that could only live in levels 0..=2 must still be stashed.
         // (At minimum, nothing was lost: the data block is somewhere.)
@@ -563,7 +559,7 @@ mod tests {
         let (old, new, _) = s.start_chain(3);
         s.load_path_range(old, 0, levels).unwrap();
         let _ = s.apply_op(3, new, Some(&[1]));
-        let written = s.evict_range(old, 0, levels);
+        let written = refill(&mut s, old, 0);
         // Only occupied buckets keep a plaintext image, and corrupting a
         // node without one is a no-op: pick a written bucket with an image.
         let victim = *written

@@ -65,6 +65,9 @@
 //! that exercises cross-request coalescing, since its duplicate-address
 //! requests genuinely overlap in flight.
 //!
+//! The modes differ only in their [`RequestSource`]: every shard runs the
+//! same worker loop ([`ShardEngine::run`]) under the same supervisor.
+//!
 //! # Example
 //!
 //! ```
@@ -98,5 +101,5 @@ pub use config::ServiceConfig;
 pub use queue::SubmissionQueue;
 pub use request::{CompletionStatus, ServiceCompletion, ServiceRequest, SubmitError};
 pub use service::{OramService, ServeError, ServiceHandle, ShardFailure};
-pub use shard::{ShardCounters, ShardEngine, ShardHealth, ShardShared};
+pub use shard::{RequestSource, ShardCounters, ShardEngine, ShardHealth, ShardShared};
 pub use stats::{ServiceStats, ShardSnapshot};

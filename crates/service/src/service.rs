@@ -1,12 +1,20 @@
 //! The service front end: shard spawning, request routing, drain/shutdown,
 //! and fail-fast supervision.
 //!
-//! [`OramService::serve`] runs the external-submission mode: shard workers
-//! block on their bounded queues while a caller-supplied driver submits
-//! requests through a [`ServiceHandle`]. When the driver returns, queues
-//! close, workers drain in-flight work, and the scope joins them — shutdown
-//! cannot deadlock because `close()` wakes every blocked consumer and
-//! `pop_batch` returns `None` once closed-and-empty.
+//! All three run modes share one supervisor: each builds one
+//! [`RequestSource`] per shard and hands it to the same spawn / supervise
+//! / drain / snapshot path.
+//!
+//! * [`OramService::serve`] — external submission: shard workers block on
+//!   their bounded queues while a caller-supplied driver submits requests
+//!   through a [`ServiceHandle`]. When the driver returns, queues close,
+//!   workers drain in-flight work, and the scope joins them — shutdown
+//!   cannot deadlock because `close()` wakes every blocked consumer and
+//!   `pop_batch` returns `None` once closed-and-empty.
+//! * [`OramService::run_trace`] — deterministic replay of a request list.
+//! * [`OramService::run_closed_loop`] — deterministic load: each shard
+//!   embeds a seeded client pool driven by its own completions in
+//!   simulated time, so results are a pure function of the configuration.
 //!
 //! Workers are *supervised*: a controller error or a panic inside one
 //! shard marks that shard [`ShardHealth::Dead`] (closing its queue so
@@ -15,10 +23,6 @@
 //! [`ServeError::Shards`] carrying every failure *and* the partial
 //! aggregate statistics — a fault never panics the caller or hangs the
 //! scope.
-//!
-//! [`OramService::run_closed_loop`] runs the deterministic load mode: each
-//! shard embeds a seeded client pool driven by its own completions in
-//! simulated time, so results are a pure function of the configuration.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -30,7 +34,7 @@ use fp_workloads::BenchmarkProfile;
 
 use crate::config::ServiceConfig;
 use crate::request::{ServiceCompletion, ServiceRequest, SubmitError};
-use crate::shard::{ShardEngine, ShardHealth, ShardShared};
+use crate::shard::{RequestSource, ShardEngine, ShardHealth, ShardShared};
 use crate::stats::{ServiceStats, ShardSnapshot};
 use crate::sync::relock;
 
@@ -40,7 +44,7 @@ pub struct ShardFailure {
     /// Which shard died.
     pub shard: usize,
     /// `true` when the worker panicked; `false` for a controller error
-    /// returned through [`ShardEngine::run_external`].
+    /// returned through [`ShardEngine::run`].
     pub panicked: bool,
     /// Human-readable failure description.
     pub error: String,
@@ -194,21 +198,10 @@ impl ServiceHandle {
     }
 }
 
-/// The sharded ORAM service. See the module docs for the two run modes.
+/// The sharded ORAM service. See the module docs for the three run modes.
 pub struct OramService;
 
 impl OramService {
-    fn build(cfg: &ServiceConfig) -> (Vec<ShardEngine>, Vec<Arc<ShardShared>>) {
-        let mut engines = Vec::with_capacity(cfg.shards);
-        let mut shareds = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let (engine, shared) = ShardEngine::new(cfg, shard);
-            engines.push(engine);
-            shareds.push(shared);
-        }
-        (engines, shareds)
-    }
-
     fn snapshot(cfg: &ServiceConfig, shards: &[Arc<ShardShared>], wall_ns: u64) -> ServiceStats {
         let snaps = shards
             .iter()
@@ -218,73 +211,37 @@ impl OramService {
         ServiceStats::aggregate(cfg.shards, cfg.queue_depth, snaps, wall_ns)
     }
 
-    /// Joins supervised workers, turning abnormal exits into
-    /// [`ShardFailure`]s. Each worker returns `None` on a clean exit or
-    /// `Some((panicked, error))` otherwise.
-    fn collect_failures(
-        workers: Vec<std::thread::ScopedJoinHandle<'_, Option<(bool, String)>>>,
-    ) -> Vec<ShardFailure> {
-        let mut failures = Vec::new();
-        for (shard, w) in workers.into_iter().enumerate() {
-            match w.join() {
-                Ok(None) => {}
-                Ok(Some((panicked, error))) => failures.push(ShardFailure {
-                    shard,
-                    panicked,
-                    error,
-                }),
-                // catch_unwind should make this unreachable; record it
-                // rather than panic the supervisor.
-                Err(_) => failures.push(ShardFailure {
-                    shard,
-                    panicked: true,
-                    error: "worker died outside supervision".to_string(),
-                }),
-            }
-        }
-        failures
-    }
-
-    /// Runs the service in external-submission mode: spawns one worker per
-    /// shard, hands a [`ServiceHandle`] to `driver`, and once the driver
-    /// returns closes all queues, drains in-flight work, and joins the
-    /// workers. Returns the aggregate stats and the driver's result.
-    ///
-    /// Workers are supervised: a controller failure or panic in one shard
-    /// marks it dead and closes its queue *immediately* (producers see
-    /// [`SubmitError::ShardDown`]), while the other shards keep serving
-    /// and drain normally.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Config`] before anything is spawned;
-    /// [`ServeError::Shards`] when workers died — it still carries the
-    /// partial aggregate statistics (the driver's result is dropped).
-    pub fn serve<R>(
+    /// The one supervisor behind every run mode: spawns one worker per
+    /// shard serving `sources[shard]`, hands a [`ServiceHandle`] to
+    /// `driver`, and once the driver returns closes all queues, lets the
+    /// workers drain, and joins them. A controller failure or panic in one
+    /// shard marks it dead and closes its queue *immediately* (producers
+    /// see [`SubmitError::ShardDown`]), while the other shards keep
+    /// serving and drain normally.
+    fn supervise<R>(
         cfg: ServiceConfig,
+        sources: Vec<RequestSource>,
         driver: impl FnOnce(&ServiceHandle) -> R,
     ) -> Result<(ServiceStats, R), ServeError> {
-        cfg.validate().map_err(ServeError::Config)?;
-        let (engines, shareds) = Self::build(&cfg);
-        let cfg = Arc::new(cfg);
-        let shards = Arc::new(shareds);
+        let (engines, shards): (Vec<_>, Vec<_>) =
+            (0..cfg.shards).map(|s| ShardEngine::new(&cfg, s)).unzip();
         let handle = ServiceHandle {
-            cfg: Arc::clone(&cfg),
-            shards: Arc::clone(&shards),
+            cfg: Arc::new(cfg),
+            shards: Arc::new(shards),
         };
         #[allow(clippy::disallowed_methods)]
         // fp-lint: allow(wall-clock-in-sim) reason=wall-clock throughput measurement only; does not feed back into the simulation
         let start = Instant::now();
-        let (driver_out, failures) = std::thread::scope(|scope| {
+        let (out, failures) = std::thread::scope(|scope| {
             let workers: Vec<_> = engines
                 .into_iter()
-                .zip(shards.iter())
-                .map(|(engine, shared)| {
-                    let shared = Arc::clone(shared);
+                .zip(sources)
+                .zip(handle.shards.iter())
+                .map(|((engine, source), shared)| {
                     scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(move || engine.run_external())) {
+                        match catch_unwind(AssertUnwindSafe(move || engine.run(source))) {
                             Ok(Ok(())) => None,
-                            // run_external already marked the shard dead.
+                            // `run` already marked the shard dead.
                             Ok(Err(e)) => Some((false, e.to_string())),
                             Err(payload) => {
                                 let msg = panic_message(payload.as_ref());
@@ -297,15 +254,31 @@ impl OramService {
                 .collect();
             let out = driver(&handle);
             // Begin drain: reject new work, wake idle workers.
-            for shared in shards.iter() {
+            for shared in handle.shards.iter() {
                 shared.queue.close();
             }
-            (out, Self::collect_failures(workers))
+            let failures: Vec<ShardFailure> = workers
+                .into_iter()
+                .enumerate()
+                .filter_map(|(shard, w)| {
+                    // catch_unwind should make a join error unreachable;
+                    // record it rather than panic the supervisor.
+                    let (panicked, error) = w.join().unwrap_or_else(|_| {
+                        Some((true, "worker died outside supervision".to_string()))
+                    })?;
+                    Some(ShardFailure {
+                        shard,
+                        panicked,
+                        error,
+                    })
+                })
+                .collect();
+            (out, failures)
         });
         let wall_ns = start.elapsed().as_nanos() as u64;
-        let stats = Self::snapshot(&cfg, &shards, wall_ns);
+        let stats = Self::snapshot(&handle.cfg, &handle.shards, wall_ns);
         if failures.is_empty() {
-            Ok((stats, driver_out))
+            Ok((stats, out))
         } else {
             Err(ServeError::Shards {
                 failures,
@@ -314,17 +287,36 @@ impl OramService {
         }
     }
 
+    /// Runs the service in external-submission mode: every shard serves
+    /// its bounded queue while `driver` submits through a
+    /// [`ServiceHandle`]; once the driver returns, queued and in-flight
+    /// work drains. Returns the aggregate stats and the driver's result.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] before anything is spawned;
+    /// [`ServeError::Shards`] when workers died — it still carries the
+    /// partial aggregate statistics (the driver's result is dropped).
+    pub fn serve<R>(
+        cfg: ServiceConfig,
+        driver: impl FnOnce(&ServiceHandle) -> R,
+    ) -> Result<(ServiceStats, R), ServeError> {
+        cfg.validate().map_err(ServeError::Config)?;
+        let sources = (0..cfg.shards).map(|_| RequestSource::Queue).collect();
+        Self::supervise(cfg, sources, driver)
+    }
+
     /// Runs the deterministic trace-replay mode: `requests` (global
     /// addresses) are partitioned across the shards up front, and each
-    /// shard worker replays its slice in arrival order through
-    /// [`ShardEngine::run_schedule`] — no queue backpressure or
-    /// host-thread timing effects, so the outcome is a pure function of
-    /// the request list and the configuration. This is the mode the
-    /// Zipfian service workload and the coalescing benchmarks use:
-    /// duplicate-address requests genuinely overlap in flight, which the
-    /// closed-loop harness (disjoint per-client regions) can never
-    /// produce. Returns the aggregate statistics and every completion,
-    /// with addresses mapped back to the global space.
+    /// shard replays its slice in arrival order as a
+    /// [`RequestSource::Schedule`] — no queue backpressure or host-thread
+    /// timing effects, so the outcome is a pure function of the request
+    /// list and the configuration. This is the mode the Zipfian service
+    /// workload and the coalescing benchmarks use: duplicate-address
+    /// requests genuinely overlap in flight, which the closed-loop harness
+    /// (disjoint per-client regions) can never produce. Returns the
+    /// aggregate statistics and every completion, with addresses mapped
+    /// back to the global space.
     ///
     /// # Errors
     ///
@@ -348,58 +340,22 @@ impl OramService {
             req.addr = cfg.local_addr(req.addr);
             per_shard[shard].push(req);
         }
-        let (engines, shareds) = Self::build(&cfg);
-        #[allow(clippy::disallowed_methods)]
-        // fp-lint: allow(wall-clock-in-sim) reason=wall-clock throughput measurement only; does not feed back into the simulation
-        let start = Instant::now();
-        let failures = std::thread::scope(|scope| {
-            let workers: Vec<_> = engines
-                .into_iter()
-                .zip(shareds.iter())
-                .zip(per_shard)
-                .map(|((engine, shared), schedule)| {
-                    let shared = Arc::clone(shared);
-                    scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(move || engine.run_schedule(schedule)))
-                        {
-                            Ok(Ok(())) => None,
-                            Ok(Err(e)) => Some((false, e.to_string())),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                shared.mark_dead(&format!("worker panicked: {msg}"));
-                                Some((true, msg))
-                            }
-                        }
-                    })
-                })
-                .collect();
-            Self::collect_failures(workers)
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let stats = Self::snapshot(&cfg, &shareds, wall_ns);
-        let mut completions = Vec::new();
-        for (i, shared) in shareds.iter().enumerate() {
-            let mut done = relock(&shared.completions);
-            for mut c in done.drain(..) {
-                c.addr = cfg.global_addr(i, c.addr);
-                completions.push(c);
-            }
-        }
-        if failures.is_empty() {
-            Ok((stats, completions))
-        } else {
-            Err(ServeError::Shards {
-                failures,
-                stats: Box::new(stats),
+        let sources = per_shard
+            .into_iter()
+            .map(|mut schedule| {
+                // Stable sort: same-arrival requests keep their order.
+                schedule.sort_by_key(|r| r.arrival_ps);
+                RequestSource::Schedule(schedule.into())
             })
-        }
+            .collect();
+        let (stats, handle) = Self::supervise(cfg, sources, ServiceHandle::clone)?;
+        Ok((stats, handle.drain_completions()))
     }
 
     /// Runs the deterministic closed-loop mode: each shard gets a private
     /// client pool built from `profiles` over its own address slice, with
     /// `total_budget` requests split evenly across shards. Returns once
-    /// every pool is exhausted and every shard is idle. Workers are
-    /// supervised exactly like [`OramService::serve`]'s.
+    /// every pool is exhausted and every shard is idle.
     ///
     /// # Errors
     ///
@@ -417,51 +373,20 @@ impl OramService {
                 "closed-loop mode needs at least one profile".into(),
             ));
         }
-        let (engines, shareds) = Self::build(&cfg);
         let n = cfg.shards as u64;
-        #[allow(clippy::disallowed_methods)]
-        // fp-lint: allow(wall-clock-in-sim) reason=wall-clock throughput measurement only; does not feed back into the simulation
-        let start = Instant::now();
-        let failures = std::thread::scope(|scope| {
-            let workers: Vec<_> = engines
-                .into_iter()
-                .zip(shareds.iter())
-                .enumerate()
-                .map(|(shard, (engine, shared))| {
-                    let budget = total_budget / n + u64::from((shard as u64) < total_budget % n);
-                    let pool = ServiceClientPool::from_profiles(
-                        profiles,
-                        cfg.shard_blocks(),
-                        budget,
-                        // Pool seed decorrelated from the controller seed.
-                        cfg.shard_seed(shard) ^ 0xC1EE_7C1E_E7C1_EE7C,
-                    );
-                    let shared = Arc::clone(shared);
-                    scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(move || engine.run_closed_loop(pool))) {
-                            Ok(Ok(())) => None,
-                            Ok(Err(e)) => Some((false, e.to_string())),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                shared.mark_dead(&format!("worker panicked: {msg}"));
-                                Some((true, msg))
-                            }
-                        }
-                    })
-                })
-                .collect();
-            Self::collect_failures(workers)
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let stats = Self::snapshot(&cfg, &shareds, wall_ns);
-        if failures.is_empty() {
-            Ok(stats)
-        } else {
-            Err(ServeError::Shards {
-                failures,
-                stats: Box::new(stats),
+        let sources = (0..cfg.shards)
+            .map(|shard| RequestSource::Pool {
+                pool: ServiceClientPool::from_profiles(
+                    profiles,
+                    cfg.shard_blocks(),
+                    total_budget / n + u64::from((shard as u64) < total_budget % n),
+                    // Pool seed decorrelated from the controller seed.
+                    cfg.shard_seed(shard) ^ 0xC1EE_7C1E_E7C1_EE7C,
+                ),
+                block_bytes: cfg.oram.block_bytes,
             })
-        }
+            .collect();
+        Self::supervise(cfg, sources, |_| ()).map(|(stats, ())| stats)
     }
 }
 

@@ -1,17 +1,18 @@
-//! Shard worker: one scheme-agnostic [`OramEngine`] fed from a bounded
-//! submission queue (external mode), a pre-generated schedule (trace-replay
-//! mode), or an embedded closed-loop client pool (deterministic load mode).
+//! Shard worker: one scheme-agnostic [`OramEngine`] driven by one loop,
+//! [`ShardEngine::run`], over a [`RequestSource`]: the bounded submission
+//! queue (external mode), a pre-generated schedule (trace-replay mode), or
+//! an embedded closed-loop client pool (deterministic load mode). Every
+//! source shares the same admission, completion and finish bookkeeping.
 //! The engine is built from [`ServiceConfig::scheme`](crate::ServiceConfig),
 //! so the same worker serves traditional Path ORAM, Fork Path, or any
 //! future scheme.
 //!
-//! In external mode the worker blocks on its queue only while the
-//! controller is idle; with work in flight it polls the queue without
-//! blocking so simulated progress never waits on producers. In closed-loop
-//! mode the pool is a [`ReactiveSource`]: every completion immediately
-//! yields the issuing client's next request in *simulated* time, so the
-//! shard's entire execution is a pure function of its seed — independent of
-//! host thread scheduling.
+//! The queue blocks only while the controller is idle; with work in
+//! flight the loop polls it without blocking so simulated progress never
+//! waits on producers. The source is also the engine's [`ReactiveSource`]:
+//! a pool completion immediately yields the issuing client's next request
+//! in *simulated* time, so a closed-loop shard's entire execution is a
+//! pure function of its seed — independent of host thread scheduling.
 //!
 //! With [`ServiceConfig::coalesce`] enabled, the worker keeps a
 //! cross-request **coalescing index** (address → in-flight entry): a
@@ -31,7 +32,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fp_core::engine::OramEngine;
-use fp_core::{ControllerError, FaultInjector, NewRequest, NoFeedback, ReactiveSource};
+use fp_core::{ControllerError, FaultInjector, NewRequest, ReactiveSource};
 use fp_dram::DramSystem;
 use fp_path_oram::{Completion, Op};
 use fp_trace::{Counter, TraceHandle};
@@ -87,9 +88,8 @@ impl ShardHealth {
 /// throughput rates derived from `completed` count served work only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
-    /// Requests accepted into the shard's queue (external mode), replayed
-    /// from its schedule (trace mode), or issued by its client pool
-    /// (closed-loop mode).
+    /// Requests accepted into the shard's queue, replayed from its
+    /// schedule, or issued by its client pool.
     pub enqueued: u64,
     /// Submissions rejected with `Busy` (counted by the service handle).
     pub rejected_busy: u64,
@@ -118,10 +118,11 @@ pub struct ShardCounters {
 /// State shared between a shard worker and the service front end.
 #[derive(Debug)]
 pub struct ShardShared {
-    /// Bounded submission queue (external mode).
+    /// Bounded submission queue ([`RequestSource::Queue`]).
     pub queue: SubmissionQueue,
-    /// Completions awaiting collection (external mode only; closed-loop
-    /// folds them into counters instead of storing them).
+    /// Completions awaiting collection. Closed-loop follow-ups are
+    /// counted, not stored, so a pool run leaves at most its opening
+    /// burst (one request per client) here.
     pub completions: Mutex<Vec<ServiceCompletion>>,
     /// Monotonic counters.
     pub counters: Mutex<ShardCounters>,
@@ -212,16 +213,120 @@ enum ReqMeta {
     Flush,
 }
 
-/// One shard's worker: a scheme-agnostic ORAM engine plus in-flight
-/// request metadata. Defaults to the boxed engine [`ServiceConfig::scheme`]
-/// builds; tests can instantiate it with a concrete engine type.
-pub struct ShardEngine<E: OramEngine = Box<dyn OramEngine + Send>> {
+/// Where a shard's requests come from. [`ShardEngine::run`] drives every
+/// variant through the same admission, completion and finish path; the
+/// variants differ only in where requests come from and when the loop
+/// may block.
+pub enum RequestSource {
+    /// The shard's bounded submission queue, fed through a
+    /// [`crate::ServiceHandle`]. Blocks while the engine is idle and polls
+    /// while it is busy, so simulated progress never waits on producers.
+    Queue,
+    /// A shard-local schedule (local addresses) in arrival order. Requests
+    /// are admitted once the engine clock reaches them; when the engine is
+    /// idle with the next arrival in the future, that request is admitted
+    /// directly and the engine's scheduler advances its clock to it.
+    Schedule(VecDeque<ServiceRequest>),
+    /// An embedded closed-loop client pool. It yields its opening burst
+    /// once; every later request is a follow-up the pool issues through
+    /// the engine's feedback hook in simulated time.
+    Pool {
+        /// The clients; their address regions are disjoint.
+        pool: ServiceClientPool,
+        /// Size of the deterministic payload a pool write carries.
+        block_bytes: usize,
+    },
+}
+
+impl RequestSource {
+    /// The next batch to admit (possibly empty while the engine is
+    /// `busy`), or `None` once the source is exhausted. Schedule and pool
+    /// requests count as enqueued when they are yielded; queue requests
+    /// were counted when the front end accepted them.
+    fn next_batch(
+        &mut self,
+        shared: &ShardShared,
+        busy: bool,
+        clock_ps: u64,
+        max: usize,
+    ) -> Option<Vec<ServiceRequest>> {
+        let batch: Vec<ServiceRequest> = match self {
+            RequestSource::Queue if busy => return shared.queue.try_pop_batch(max),
+            // Idle: block until producers push or the service drains.
+            RequestSource::Queue => return shared.queue.pop_batch(max),
+            RequestSource::Schedule(pending) if !pending.is_empty() => {
+                let due = pending
+                    .iter()
+                    .take(max)
+                    .take_while(|r| r.arrival_ps <= clock_ps)
+                    .count();
+                // Idle with the next arrival in the future: fast-forward.
+                let n = if due == 0 && !busy { 1 } else { due };
+                pending.drain(..n).collect()
+            }
+            RequestSource::Pool { pool, block_bytes }
+                if pool.issued() == 0 && pool.budget() > 0 =>
+            {
+                pool.initial_burst()
+                    .into_iter()
+                    .map(|r| ServiceRequest {
+                        addr: r.addr,
+                        op: r.op,
+                        data: pool_payload(r.op, r.addr, *block_bytes),
+                        arrival_ps: r.arrival_ps,
+                        deadline_ps: None,
+                        tag: r.client as u64,
+                    })
+                    .collect()
+            }
+            RequestSource::Schedule(_) | RequestSource::Pool { .. } => return None,
+        };
+        relock(&shared.counters).enqueued += batch.len() as u64;
+        Some(batch)
+    }
+}
+
+/// A pool write's deterministic payload, derived from the address.
+fn pool_payload(op: Op, addr: u64, block_bytes: usize) -> Vec<u8> {
+    match op {
+        Op::Write => {
+            let mut d = vec![0u8; block_bytes];
+            d[..8].copy_from_slice(&addr.to_le_bytes());
+            d
+        }
+        Op::Read => Vec::new(),
+    }
+}
+
+impl ReactiveSource for RequestSource {
+    /// A pool completion births the issuing client's next request in
+    /// simulated time; the queue and the schedule issue no follow-ups.
+    fn on_complete(&mut self, completion: &Completion) -> Vec<NewRequest> {
+        let RequestSource::Pool { pool, block_bytes } = self else {
+            return Vec::new();
+        };
+        let client = completion.tag as usize;
+        pool.on_complete(client, completion.done_ps)
+            .map(|r| NewRequest {
+                addr: r.addr,
+                op: r.op,
+                data: pool_payload(r.op, r.addr, *block_bytes),
+                arrival_ps: r.arrival_ps,
+                tag: r.client as u64,
+            })
+            .into_iter()
+            .collect()
+    }
+}
+
+/// One shard's worker: the scheme-agnostic ORAM engine
+/// [`ServiceConfig::scheme`] builds, plus in-flight request metadata.
+pub struct ShardEngine {
     shard: usize,
-    ctl: E,
+    ctl: Box<dyn OramEngine + Send>,
     shared: Arc<ShardShared>,
     batch_max: usize,
     default_deadline_ps: Option<u64>,
-    block_bytes: usize,
     meta: HashMap<u64, ReqMeta>,
     /// Cross-request coalescing index (`Some` iff
     /// [`ServiceConfig::coalesce`] is set). The pure bookkeeping lives in
@@ -242,10 +347,10 @@ impl ShardEngine {
     /// deterministic [`FaultInjector`] whose seed is decorrelated per
     /// shard, so shards roll independent fault streams.
     pub fn new(cfg: &ServiceConfig, shard: usize) -> (Self, Arc<ShardShared>) {
-        let oram = cfg.shard_oram();
-        let block_bytes = oram.block_bytes;
         let dram = DramSystem::new(cfg.dram.clone());
-        let mut ctl = cfg.scheme.build(oram, dram, cfg.shard_seed(shard));
+        let mut ctl = cfg
+            .scheme
+            .build(cfg.shard_oram(), dram, cfg.shard_seed(shard));
         ctl.set_trace_capacity(cfg.trace_capacity);
         if let Some(fault) = cfg
             .fault
@@ -264,7 +369,6 @@ impl ShardEngine {
                 shared: Arc::clone(&shared),
                 batch_max: cfg.batch_max,
                 default_deadline_ps: cfg.deadline_ps,
-                block_bytes,
                 meta: HashMap::new(),
                 coalesce: cfg.coalesce.then(CoalesceIndex::new),
                 drained: Vec::new(),
@@ -272,25 +376,27 @@ impl ShardEngine {
             shared,
         )
     }
-}
 
-impl<E: OramEngine> ShardEngine<E> {
-    /// External-mode worker loop: drain the queue in batches, advance the
-    /// controller, publish completions. Returns when the queue is closed
-    /// and all admitted work has completed.
+    /// Serves `source` to exhaustion: admits each batch it yields,
+    /// executes one access, publishes completions; once the source is
+    /// exhausted, finishes the work still in flight. Pool follow-ups enter
+    /// through the engine's feedback hook (`source` is the engine's
+    /// [`ReactiveSource`]), so a closed-loop run is a pure function of its
+    /// seed.
     ///
     /// On *every* exit path — clean drain or controller failure — the
-    /// shard's queue is closed, completions drained so far are published,
-    /// and final counters are recorded. Without this, an error exit left
-    /// the queue open and producers spun forever on `Busy` against a
-    /// worker that would never pop again (the dead-shard livelock).
+    /// completions drained so far are published and final counters are
+    /// recorded; a failure also closes the shard's queue. Without this, an
+    /// error exit left the queue open and producers spun forever on `Busy`
+    /// against a worker that would never pop again (the dead-shard
+    /// livelock).
     ///
     /// # Errors
     ///
     /// Propagates controller failures (integrity violations, stash
     /// overflow, config errors) after marking the shard [`ShardHealth::Dead`].
-    pub fn run_external(mut self) -> Result<(), ControllerError> {
-        let result = self.run_external_inner();
+    pub fn run(mut self, mut source: RequestSource) -> Result<(), ControllerError> {
+        let result = self.drive(&mut source);
         if let Err(e) = &result {
             self.fail(&e.to_string());
         }
@@ -298,39 +404,27 @@ impl<E: OramEngine> ShardEngine<E> {
     }
 
     // fp-lint: hot-path
-    fn run_external_inner(&mut self) -> Result<(), ControllerError> {
-        loop {
-            let batch = if self.ctl.has_pending_work() {
-                self.shared.queue.try_pop_batch(self.batch_max)
-            } else {
-                // Idle: block until producers push or the service drains.
-                self.shared.queue.pop_batch(self.batch_max)
-            };
-            match batch {
-                Some(reqs) => {
-                    if !reqs.is_empty() {
-                        self.admit(reqs)?;
-                    }
-                }
-                None => {
-                    // Closed and drained; finish what is in flight. The
-                    // publish/drain loop repeats because resolving
-                    // coalesced writes submits flush accesses, which are
-                    // new pending work.
-                    loop {
-                        while self.ctl.process_one(&mut NoFeedback)? {}
-                        self.publish_completions()?;
-                        if !self.ctl.has_pending_work() {
-                            break;
-                        }
-                    }
-                    self.finish_drained();
-                    return Ok(());
-                }
+    fn drive(&mut self, source: &mut RequestSource) -> Result<(), ControllerError> {
+        while let Some(batch) = source.next_batch(
+            &self.shared,
+            self.ctl.has_pending_work(),
+            self.ctl.clock_ps(),
+            self.batch_max,
+        ) {
+            if !batch.is_empty() {
+                self.admit(batch)?;
             }
-            self.ctl.process_one(&mut NoFeedback)?;
+            self.ctl.process_one(source)?;
             self.publish_completions()?;
         }
+        // Resolving coalesced writes submits flush accesses, which are new
+        // pending work, so publishing happens inside this loop too.
+        while self.ctl.has_pending_work() {
+            self.ctl.process_one(source)?;
+            self.publish_completions()?;
+        }
+        self.finish_drained();
+        Ok(())
     }
 
     /// Error-exit cleanup: marks the shard dead (which closes the queue so
@@ -467,8 +561,9 @@ impl<E: OramEngine> ShardEngine<E> {
             self.drained = done;
             return Ok(());
         }
-        let mut out = Vec::with_capacity(done.len());
+        let mut out = Vec::new();
         let mut late = 0u64;
+        let mut follow_ups = 0u64;
         let mut flushes: Vec<NewRequest> = Vec::new();
         for mut c in done.drain(..) {
             // Resolve waiters first: the index borrows the data as read,
@@ -504,16 +599,17 @@ impl<E: OramEngine> ShardEngine<E> {
                         },
                     });
                 }
-                // Unknown id (engine-internal bookkeeping): pass through.
+                // A closed-loop follow-up the pool issued through the
+                // feedback hook: counted, never stored, so pool runs stay
+                // flat in memory.
                 None => {
-                    out.push(ServiceCompletion {
-                        tag: c.tag,
-                        shard: self.shard,
-                        addr: c.addr,
-                        status: CompletionStatus::Ok,
-                        latency_ps: c.done_ps.saturating_sub(c.arrival_ps),
-                        data: std::mem::take(&mut c.data),
-                    });
+                    follow_ups += 1;
+                    if self
+                        .default_deadline_ps
+                        .is_some_and(|d| c.done_ps.saturating_sub(c.arrival_ps) > d)
+                    {
+                        late += 1;
+                    }
                 }
             }
             let Some(res) = resolved else {
@@ -554,71 +650,19 @@ impl<E: OramEngine> ShardEngine<E> {
         }
         {
             let mut ctr = relock(&self.shared.counters);
-            ctr.completed += out.len() as u64;
+            ctr.enqueued += follow_ups;
+            ctr.admitted += follow_ups;
+            ctr.completed += out.len() as u64 + follow_ups;
             ctr.completed_late += late;
         }
         self.drained = done;
-        relock(&self.shared.completions).extend(out);
+        if !out.is_empty() {
+            relock(&self.shared.completions).extend(out);
+        }
         for f in flushes {
             let id = self.ctl.submit(f)?;
             self.meta.insert(id, ReqMeta::Flush);
         }
-        Ok(())
-    }
-
-    /// Deterministic trace-replay mode: serves a pre-generated shard-local
-    /// schedule without queue or host-thread timing effects, so the run is
-    /// a pure function of the schedule and the shard seed — the mode the
-    /// Zipfian service workload and the coalescing-equivalence tests use.
-    ///
-    /// Requests are admitted in arrival order once the engine clock
-    /// reaches them (up to `batch_max` per iteration); when the engine is
-    /// idle with the next arrival still in the future, that request is
-    /// admitted directly and the engine's scheduler advances its clock to
-    /// the request's ready time. Counters are maintained exactly as in
-    /// external mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller failures after marking the shard dead.
-    pub fn run_schedule(mut self, schedule: Vec<ServiceRequest>) -> Result<(), ControllerError> {
-        let result = self.run_schedule_inner(schedule);
-        if let Err(e) = &result {
-            self.fail(&e.to_string());
-        }
-        result
-    }
-
-    fn run_schedule_inner(
-        &mut self,
-        mut schedule: Vec<ServiceRequest>,
-    ) -> Result<(), ControllerError> {
-        // Stable sort: same-arrival requests keep their schedule order.
-        schedule.sort_by_key(|r| r.arrival_ps);
-        let mut pending: VecDeque<ServiceRequest> = schedule.into();
-        relock(&self.shared.counters).enqueued += pending.len() as u64;
-        while !pending.is_empty() || self.ctl.has_pending_work() {
-            let clock = self.ctl.clock_ps();
-            let mut batch = Vec::new();
-            while batch.len() < self.batch_max
-                && pending.front().is_some_and(|r| r.arrival_ps <= clock)
-            {
-                batch.push(pending.pop_front().expect("front checked"));
-            }
-            if batch.is_empty() && !self.ctl.has_pending_work() {
-                // Idle with the next arrival in the future: fast-forward
-                // by admitting it; the engine advances to its ready time.
-                if let Some(r) = pending.pop_front() {
-                    batch.push(r);
-                }
-            }
-            if !batch.is_empty() {
-                self.admit(batch)?;
-            }
-            self.ctl.process_one(&mut NoFeedback)?;
-            self.publish_completions()?;
-        }
-        self.finish_drained();
         Ok(())
     }
 
@@ -650,126 +694,6 @@ impl<E: OramEngine> ShardEngine<E> {
             self.shared.mark_degraded();
         }
     }
-
-    /// Closed-loop mode: drives the embedded client `pool` to exhaustion.
-    /// Completions are folded into counters, not stored, so multi-million
-    /// request runs stay flat in memory. Deterministic per shard seed.
-    ///
-    /// Like [`ShardEngine::run_external`], every error exit marks the
-    /// shard dead and records final counters before propagating.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller failures.
-    pub fn run_closed_loop(mut self, pool: ServiceClientPool) -> Result<(), ControllerError> {
-        let result = self.run_closed_loop_inner(pool);
-        if let Err(e) = &result {
-            self.fail(&e.to_string());
-        }
-        result
-    }
-
-    fn run_closed_loop_inner(&mut self, pool: ServiceClientPool) -> Result<(), ControllerError> {
-        let mut src = PoolSource {
-            pool,
-            block_bytes: self.block_bytes,
-            issued: 0,
-        };
-        let burst: Vec<NewRequest> = src
-            .pool
-            .initial_burst()
-            .into_iter()
-            .map(|r| src.to_new_request(r))
-            .collect();
-        let n = burst.len() as u64;
-        if n > 0 {
-            self.ctl.submit_batch(burst)?;
-            let mut c = relock(&self.shared.counters);
-            c.enqueued += n;
-            c.admitted += n;
-            c.batches += 1;
-            c.max_batch = c.max_batch.max(n);
-        }
-        let mut steps: u32 = 0;
-        while self.ctl.process_one(&mut src)? {
-            steps = steps.wrapping_add(1);
-            // Fold completions periodically instead of storing them.
-            if steps.is_multiple_of(1024) {
-                self.fold_closed_loop(&mut src);
-            }
-        }
-        self.fold_closed_loop(&mut src);
-        self.finish();
-        Ok(())
-    }
-
-    /// Folds drained completions and newly issued pool requests into the
-    /// shared counters (closed-loop bookkeeping).
-    fn fold_closed_loop(&mut self, src: &mut PoolSource) {
-        let mut done = std::mem::take(&mut self.drained);
-        self.ctl.drain_completions_into(&mut done);
-        let issued = std::mem::take(&mut src.issued);
-        let mut late = 0u64;
-        if let Some(d) = self.default_deadline_ps {
-            for c in &done {
-                if c.done_ps.saturating_sub(c.arrival_ps) > d {
-                    late += 1;
-                }
-            }
-        }
-        let completed = done.len() as u64;
-        done.clear();
-        self.drained = done;
-        let mut ctr = relock(&self.shared.counters);
-        ctr.enqueued += issued;
-        ctr.admitted += issued;
-        ctr.completed += completed;
-        ctr.completed_late += late;
-    }
-}
-
-/// Adapter making a [`ServiceClientPool`] drive the controller reactively:
-/// each completion births the issuing client's next request in simulated
-/// time.
-struct PoolSource {
-    pool: ServiceClientPool,
-    block_bytes: usize,
-    /// Requests issued since the last counter fold.
-    issued: u64,
-}
-
-impl PoolSource {
-    fn to_new_request(&self, r: fp_workloads::service::PoolRequest) -> NewRequest {
-        let data = match r.op {
-            Op::Write => {
-                // Deterministic payload derived from the address.
-                let mut d = vec![0u8; self.block_bytes];
-                d[..8].copy_from_slice(&r.addr.to_le_bytes());
-                d
-            }
-            Op::Read => Vec::new(),
-        };
-        NewRequest {
-            addr: r.addr,
-            op: r.op,
-            data,
-            arrival_ps: r.arrival_ps,
-            tag: r.client as u64,
-        }
-    }
-}
-
-impl ReactiveSource for PoolSource {
-    fn on_complete(&mut self, completion: &Completion) -> Vec<NewRequest> {
-        let client = completion.tag as usize;
-        match self.pool.on_complete(client, completion.done_ps) {
-            Some(r) => {
-                self.issued += 1;
-                vec![self.to_new_request(r)]
-            }
-            None => Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -779,20 +703,36 @@ mod tests {
 
     #[test]
     fn closed_loop_drains_pool_and_counts() {
-        let cfg = ServiceConfig::fast_test(1);
-        let (engine, shared) = ShardEngine::new(&cfg, 0);
-        let pool = ServiceClientPool::from_profiles(
-            &mixes::all()[0].programs,
-            cfg.shard_blocks(),
-            200,
-            cfg.shard_seed(0),
-        );
-        engine.run_closed_loop(pool).unwrap();
-        let c = *shared.counters.lock().unwrap();
-        assert_eq!(c.enqueued, 200);
-        assert_eq!(c.admitted, 200);
-        assert_eq!(c.completed, 200);
-        assert!(c.sim_finish_ps > 0);
+        // A zero budget yields no burst and must end the run, not spin.
+        for budget in [0, 200] {
+            let cfg = ServiceConfig::fast_test(1);
+            let (engine, shared) = ShardEngine::new(&cfg, 0);
+            let pool = ServiceClientPool::from_profiles(
+                &mixes::all()[0].programs,
+                cfg.shard_blocks(),
+                budget,
+                cfg.shard_seed(0),
+            );
+            let clients = pool.client_count();
+            engine
+                .run(RequestSource::Pool {
+                    pool,
+                    block_bytes: cfg.oram.block_bytes,
+                })
+                .unwrap();
+            let c = *shared.counters.lock().unwrap();
+            assert_eq!(c.enqueued, budget);
+            assert_eq!(c.admitted, budget);
+            assert_eq!(c.completed, budget);
+            assert_eq!(c.sim_finish_ps > 0, budget > 0);
+            // Follow-ups are counted, not stored: only the opening burst
+            // (one request per client) is kept, never the whole budget.
+            let stored = shared.completions.lock().unwrap().len();
+            assert!(
+                stored <= clients,
+                "{stored} completions kept for {clients} clients"
+            );
+        }
     }
 
     #[test]
@@ -813,7 +753,7 @@ mod tests {
         shared.queue.try_push(dead).unwrap();
         shared.note_enqueued();
         shared.queue.close();
-        engine.run_external().unwrap();
+        engine.run(RequestSource::Queue).unwrap();
         let c = *shared.counters.lock().unwrap();
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 8);
@@ -853,7 +793,7 @@ mod tests {
         reqs.push(ServiceRequest::read(5, 7, 7));
         // A cold address for contrast.
         reqs.push(ServiceRequest::read(9, 8, 8));
-        engine.run_schedule(reqs).unwrap();
+        engine.run(RequestSource::Schedule(reqs.into())).unwrap();
         let c = *shared.counters.lock().unwrap();
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 9);

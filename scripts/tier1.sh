@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
-cargo clippy --offline --workspace -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline
 
 # In-repo static analysis gate (fp-lint): determinism, poison-tolerance,

@@ -197,10 +197,7 @@ fn captured_trace_replays_identically_through_the_simulator() {
         ctl.submit(r.addr, op, data, r.issue_ps);
     }
     let done = ctl.run_to_idle();
-    assert_eq!(
-        done.len() as usize + 0,
-        trace.len() - count_cancelled(&trace)
-    );
+    assert_eq!(done.len(), trace.len() - count_cancelled(&trace));
     ctl.state().check_invariants().unwrap();
 
     // Round-trip through the text format and confirm byte equality.

@@ -9,6 +9,8 @@
 //!   snapshot survives (poison-tolerant locks) instead of cascading;
 //! * a forced stash overflow surfaces the Path ORAM failure mode as a
 //!   structured error;
+//! * `run_trace` and `run_closed_loop` go through the same supervisor, so
+//!   a shard killed mid-run fails them the same structured way;
 //! * transient faults absorbed by retries leave the run `Ok` but the
 //!   affected shards report `Degraded` with nonzero fault counters;
 //! * at fault rate 0.0 the injector is byte-identical to the bare engine
@@ -256,6 +258,79 @@ fn forced_stash_overflow_surfaces_structured_error() {
             );
         }
         other => panic!("expected ServeError::Shards, got: {other}"),
+    }
+}
+
+// ---------- the same supervision on every entry point ----------------
+
+/// `run_trace` and `run_closed_loop` share `serve`'s supervisor: a shard
+/// killed at access *k* (hard integrity fault or forced stash overflow)
+/// turns either run into `ServeError::Shards` with partial stats. The
+/// killed shard reads `Dead` and records its fault; the survivor drains
+/// with a balanced ledger.
+#[test]
+fn shard_killer_fails_trace_and_closed_loop_runs_with_partial_stats() {
+    let killers = [
+        (
+            "integrity",
+            FaultConfig {
+                fail_at_access: Some(4),
+                ..FaultConfig::default()
+            },
+        ),
+        (
+            "stash overflow",
+            FaultConfig {
+                overflow_at_access: Some(4),
+                ..FaultConfig::default()
+            },
+        ),
+    ];
+    for (expected, fault) in killers {
+        for entry in ["run_trace", "run_closed_loop"] {
+            let fault = fault.clone();
+            let err = with_watchdog(entry, 120, move || {
+                let mut cfg = small_cfg(2);
+                cfg.fault = Some(fault);
+                cfg.fault_shard = Some(0);
+                let run = if entry == "run_trace" {
+                    let reqs = (0..64u64)
+                        .map(|i| ServiceRequest::read(i % 32, i * 1_000_000, i))
+                        .collect();
+                    OramService::run_trace(cfg, reqs).map(|_| ())
+                } else {
+                    OramService::run_closed_loop(cfg, &mixes::all()[0].programs, 256).map(|_| ())
+                };
+                run.expect_err("a killed shard must fail the run")
+            });
+            let ServeError::Shards { failures, stats } = err else {
+                panic!("{entry}/{expected}: expected ServeError::Shards, got: {err}");
+            };
+            assert_eq!(failures.len(), 1, "{entry}/{expected}");
+            assert_eq!(failures[0].shard, 0);
+            assert!(!failures[0].panicked);
+            assert!(
+                failures[0].error.contains(expected),
+                "{entry}: unexpected failure text: {}",
+                failures[0].error
+            );
+            assert_eq!(stats.per_shard[0].health, ShardHealth::Dead);
+            assert!(
+                stats.per_shard[0].fault.is_some(),
+                "dead shard records its fault"
+            );
+            assert_eq!(stats.shard_failovers(), 1);
+            let survivor = &stats.per_shard[1];
+            assert_eq!(survivor.health, ShardHealth::Healthy, "{entry}/{expected}");
+            let c = survivor.counters;
+            assert!(
+                c.completed > 0,
+                "{entry}/{expected}: survivor served nothing"
+            );
+            assert_eq!(c.enqueued, c.admitted + c.expired, "{entry}/{expected}");
+            assert_eq!(c.completed, c.admitted, "{entry}/{expected}");
+            fork_path_oram::stats::json::validate(&stats.to_json()).unwrap();
+        }
     }
 }
 

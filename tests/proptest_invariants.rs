@@ -93,7 +93,11 @@ fn eviction_only_places_legal_blocks() {
             stash.insert(Block::new(i as u64, bl, vec![0u8; 8]));
         }
         let before = stash.len();
-        let plan = stash.plan_eviction(levels, leaf, lo, hi, 4);
+        // Leaf to root, the order a refill commits in.
+        let plan: Vec<(u32, Vec<Block>)> = (lo..=hi)
+            .rev()
+            .map(|level| (level, stash.plan_eviction_level(levels, leaf, level, 4)))
+            .collect();
         let mut evicted = 0usize;
         for (level, blocks) in &plan {
             assert!(blocks.len() <= 4, "bucket capacity");
@@ -376,15 +380,17 @@ fn state_invariants_hold_under_random_access_mix() {
                 let chain = st.chain(addr);
                 let (mut old, mut new, _) = st.start_chain(addr);
                 for (i, &u) in chain.iter().enumerate() {
-                    st.load_path_range(old, 0, levels);
+                    st.load_path_range(old, 0, levels).expect("path loads");
+                    let leaf = old;
                     if i + 1 < chain.len() {
                         let (o, n, _) = st.chain_step(u, new, chain[i + 1]);
-                        st.evict_range(old, 0, levels);
                         old = o;
                         new = n;
                     } else {
                         let _ = st.apply_op(u, new, Some(&[addr as u8]));
-                        st.evict_range(old, 0, levels);
+                    }
+                    for level in (0..=levels).rev() {
+                        st.evict_level(leaf, level);
                     }
                 }
             }

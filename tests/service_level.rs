@@ -10,7 +10,7 @@ use fork_path_oram::core::Scheme;
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
-    CompletionStatus, OramService, ServiceConfig, ServiceRequest, SubmitError,
+    CompletionStatus, OramService, ServiceConfig, ServiceRequest, ServiceStats, SubmitError,
 };
 use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::{mixes, zipf};
@@ -38,14 +38,15 @@ fn closed_loop_reruns_are_counter_identical() {
         let shards = 1 << g.range(0, 2); // 1, 2, or 4
         let seed = g.below(u64::MAX);
         let budget = g.range(64, 256);
-        let run = || {
+        let run = |coalesce: bool| {
             let mut cfg = small_cfg(shards as usize);
             cfg.seed = seed;
+            cfg.coalesce = coalesce;
             OramService::run_closed_loop(cfg, &mixes::all()[0].programs, budget)
                 .expect("closed loop must not fail")
         };
-        let a = run();
-        let b = run();
+        let a = run(false);
+        let b = run(false);
         assert_eq!(
             a.fingerprint(),
             b.fingerprint(),
@@ -53,6 +54,24 @@ fn closed_loop_reruns_are_counter_identical() {
         );
         assert_eq!(a.completed(), budget);
         assert_eq!(a.sim_finish_ps(), b.sim_finish_ps());
+        // Coalescing on: the opening burst passes admission and enters the
+        // coalescing index (clients own disjoint regions, so nothing
+        // coalesces). Only the index high-water mark may differ.
+        let c = run(true);
+        let high_water = Counter::CoalesceIndexHighWater as usize;
+        assert!(c.trace_counter_totals()[high_water] > 0);
+        assert_eq!(a.trace_counter_totals()[high_water], 0);
+        let without_high_water = |s: &ServiceStats| {
+            let mut fp = s.fingerprint();
+            for (_, v) in &mut fp {
+                v.remove(high_water);
+            }
+            fp
+        };
+        assert_eq!(without_high_water(&a), without_high_water(&c));
+        for (x, y) in a.per_shard.iter().zip(&c.per_shard) {
+            assert_eq!(x.counters, y.counters, "coalescing changed served counters");
+        }
     });
 }
 
